@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <array>
 
+#include "common/expect.hpp"
 #include "serve/workload.hpp"
 #include "shard/backend_factory.hpp"
 #include "tune/autotuner.hpp"
@@ -129,15 +130,15 @@ std::vector<PhaseScore> score_phases(const serve::ServerReport& rep,
 int main(int argc, char** argv) {
   Cli cli;
   cli.flag("size", "log2 tree size", "15")
-      .flag("per-phase", "requests per phase", "60000")
+      .flag("per-phase", "requests per phase", "8000")
       .flag("rate-mqs", "Poisson arrival rate (Mq/s); saturating rates are "
-                        "the point — drops separate the configs", "30.0")
+                        "the point — drops separate the configs", "8.0")
       .flag("grid-batches", "comma list of static max_batch configs",
             "256,1024,4096")
       .flag("grid-waits-us", "comma list of static max_wait configs (us)",
             "50,200")
       .flag("queue-cap", "admission queue capacity (per request kind)",
-            "4096")
+            "16384")
       .flag("epoch-updates", "updates buffered per epoch", "1024")
       .flag("fanout", "tree fanout", "64")
       .flag("seed", "workload seed", "1")
@@ -152,8 +153,10 @@ int main(int argc, char** argv) {
 
   const double rate = cli.get_double("rate-mqs", 8.0) * 1e6;
   const std::uint64_t per_phase = cli.get_uint("per-phase", 8000);
-  const auto batches = parse_uint_list(cli.get_string("grid-batches", ""));
-  const auto waits = parse_uint_list(cli.get_string("grid-waits-us", ""));
+  const auto batches = parse_uint_list(cli.get_string("grid-batches", "256,1024,4096"));
+  const auto waits = parse_uint_list(cli.get_string("grid-waits-us", "50,200"));
+  HARMONIA_CHECK_MSG(!batches.empty(), "--grid-batches needs at least one max_batch");
+  HARMONIA_CHECK_MSG(!waits.empty(), "--grid-waits-us needs at least one max_wait");
   const bool check = cli.get_bool("check", false);
   const double gate = cli.get_double("gate", 0.9);
 

@@ -1,5 +1,8 @@
 #include "gpusim/cache.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/expect.hpp"
 
 namespace harmonia::gpusim {
@@ -11,43 +14,19 @@ Cache::Cache(std::uint64_t bytes, unsigned line_bytes, unsigned ways)
                      "cache capacity must be a multiple of line_bytes*ways");
   num_sets_ = bytes / line_bytes / ways;
   HARMONIA_CHECK(num_sets_ > 0);
-  slots_.resize(num_sets_ * ways_);
-}
-
-std::size_t Cache::set_index(std::uint64_t line_addr) const {
-  // line_addr is already line-granular (addr / line_bytes from the coalescer),
-  // so a simple modulo distributes consecutive lines across sets.
-  return static_cast<std::size_t>(line_addr % num_sets_);
-}
-
-bool Cache::access(std::uint64_t line_addr) {
-  Way* set = &slots_[set_index(line_addr) * ways_];
-  ++tick_;
-  Way* lru = set;
-  for (unsigned w = 0; w < ways_; ++w) {
-    if (set[w].tag == line_addr) {
-      set[w].lru = tick_;
-      ++hits_;
-      return true;
-    }
-    if (set[w].lru < lru->lru) lru = &set[w];
-  }
-  ++misses_;
-  lru->tag = line_addr;
-  lru->lru = tick_;
-  return false;
+  sets_pow2_ = std::has_single_bit(num_sets_);
+  tags_.assign(num_sets_ * ways_, kInvalid);
+  lru_.assign(num_sets_ * ways_, 0);
 }
 
 bool Cache::contains(std::uint64_t line_addr) const {
-  const Way* set = &slots_[set_index(line_addr) * ways_];
-  for (unsigned w = 0; w < ways_; ++w) {
-    if (set[w].tag == line_addr) return true;
-  }
-  return false;
+  const std::uint64_t* tags = tags_.data() + set_index(line_addr) * ways_;
+  return std::find(tags, tags + ways_, line_addr) != tags + ways_;
 }
 
 void Cache::flush() {
-  for (auto& way : slots_) way = Way{};
+  std::fill(tags_.begin(), tags_.end(), kInvalid);
+  std::fill(lru_.begin(), lru_.end(), 0);
   tick_ = 0;
 }
 

@@ -1,25 +1,27 @@
 #include "gpusim/coalescer.hpp"
 
-#include <algorithm>
-
-#include "common/expect.hpp"
+#include <bit>
 
 namespace harmonia::gpusim {
 
-std::vector<std::uint64_t> coalesce(std::span<const std::uint64_t> addrs, LaneMask active,
-                                    unsigned bytes_per_lane, unsigned line_bytes) {
+LineSet coalesce(std::span<const std::uint64_t> addrs, LaneMask active, unsigned bytes_per_lane,
+                 unsigned line_bytes) {
   HARMONIA_CHECK(bytes_per_lane > 0);
   HARMONIA_CHECK(line_bytes > 0);
-  std::vector<std::uint64_t> lines;
-  lines.reserve(active_count(active));
-  for (unsigned lane = 0; lane < addrs.size(); ++lane) {
-    if (!lane_active(active, lane)) continue;
-    const std::uint64_t first = addrs[lane] / line_bytes;
-    const std::uint64_t last = (addrs[lane] + bytes_per_lane - 1) / line_bytes;
-    for (std::uint64_t line = first; line <= last; ++line) lines.push_back(line);
+  HARMONIA_CHECK(std::has_single_bit(line_bytes));
+  HARMONIA_CHECK(bytes_per_lane <= line_bytes);
+  HARMONIA_CHECK(addrs.size() <= 32);
+  const auto shift = static_cast<unsigned>(std::countr_zero(line_bytes));
+  LineSet lines;
+  if (addrs.empty()) return lines;
+  for (LaneMask m = active & full_mask(static_cast<unsigned>(addrs.size())); m != 0;
+       m &= m - 1) {
+    const std::uint64_t addr = addrs[static_cast<unsigned>(std::countr_zero(m))];
+    const std::uint64_t first = addr >> shift;
+    const std::uint64_t last = (addr + bytes_per_lane - 1) >> shift;
+    lines.insert(first);
+    if (last != first) lines.insert(last);
   }
-  std::sort(lines.begin(), lines.end());
-  lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
   return lines;
 }
 

@@ -107,12 +107,13 @@ std::uint64_t WarpCtx::account_access(LaneMask active, std::span<const std::uint
       worst_level = level;
     }
   };
+  // Line addresses of constant space retain the kConstBase tag, so the
+  // two spaces never alias in the shared L2.
+  const std::uint64_t const_line = kConstBase / spec.line_bytes;
   for (std::uint64_t line : lines) {
     std::uint64_t lat;
     ServedBy level;
-    // Line addresses of constant space retain the kConstBase tag, so the
-    // two spaces never alias in the shared L2.
-    if (line >= kConstBase / spec.line_bytes) {
+    if (line >= const_line) {
       if (device_.const_[sm_id_].access(line)) {
         ++m.const_hits;
         lat = spec.lat_const;

@@ -49,7 +49,7 @@ void Memory::read_bytes(std::uint64_t addr, void* out, std::size_t n) const {
     HARMONIA_CHECK_MSG(off + n <= const_.size(), "constant read out of bounds at " << off);
     std::memcpy(out, const_.data() + off, n);
   } else {
-    HARMONIA_CHECK_MSG(addr + n <= global_.size(), "global read out of bounds at " << addr);
+    HARMONIA_CHECK_MSG(in_global(addr, n), "global read out of bounds at " << addr);
     std::memcpy(out, global_.data() + addr, n);
   }
 }
@@ -60,7 +60,7 @@ void Memory::write_bytes(std::uint64_t addr, const void* in, std::size_t n) {
     HARMONIA_CHECK_MSG(off + n <= const_.size(), "constant write out of bounds at " << off);
     std::memcpy(const_.data() + off, in, n);
   } else {
-    HARMONIA_CHECK_MSG(addr + n <= global_.size(), "global write out of bounds at " << addr);
+    HARMONIA_CHECK_MSG(in_global(addr, n), "global write out of bounds at " << addr);
     std::memcpy(global_.data() + addr, in, n);
   }
 }

@@ -62,16 +62,26 @@ class Memory {
   }
 
   /// Simulator-side typed load (used by warp gather after accounting).
+  /// An in-range global load is an inline fixed-size copy; anything else
+  /// (constant space, out of range) takes the checked read_bytes path.
   template <typename T>
   T read(std::uint64_t addr) const {
     T out;
-    read_bytes(addr, &out, sizeof(T));
+    if (in_global(addr, sizeof(T))) {
+      std::memcpy(&out, global_.data() + addr, sizeof(T));
+    } else {
+      read_bytes(addr, &out, sizeof(T));
+    }
     return out;
   }
 
   template <typename T>
   void write(std::uint64_t addr, const T& value) {
-    write_bytes(addr, &value, sizeof(T));
+    if (in_global(addr, sizeof(T))) {
+      std::memcpy(global_.data() + addr, &value, sizeof(T));
+    } else {
+      write_bytes(addr, &value, sizeof(T));
+    }
   }
 
   std::uint64_t global_used() const { return global_used_; }
@@ -84,6 +94,12 @@ class Memory {
 
  private:
   std::uint64_t alloc_bytes(std::uint64_t bytes, bool constant);
+
+  /// [addr, addr + n) lies in the committed global segment. Constant
+  /// addresses never do: they sit above every global allocation.
+  bool in_global(std::uint64_t addr, std::size_t n) const {
+    return addr <= global_.size() && n <= global_.size() - addr;
+  }
 
   /// Host backing store for the global segment grows on demand (the
   /// simulated device "has" global_capacity_ bytes, but the host only

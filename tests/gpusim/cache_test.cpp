@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/expect.hpp"
+#include "common/rng.hpp"
+#include "gpusim/device.hpp"
 
 namespace harmonia::gpusim {
 namespace {
@@ -91,6 +95,86 @@ TEST(Cache, ResetStatsKeepsContents) {
   c.reset_stats();
   EXPECT_EQ(c.misses(), 0u);
   EXPECT_TRUE(c.access(1));  // still cached
+}
+
+// ---- Differential check against a reference LRU ----
+
+/// The straightforward model: per set, ways of {tag, stamp}; a miss
+/// replaces the first way with the smallest stamp.
+class ReferenceLru {
+ public:
+  ReferenceLru(std::size_t sets, unsigned ways) : sets_(sets), ways_(ways), slots_(sets * ways) {}
+
+  bool access(std::uint64_t line) {
+    Way* set = &slots_[static_cast<std::size_t>(line % sets_) * ways_];
+    ++tick_;
+    for (unsigned w = 0; w < ways_; ++w) {
+      if (set[w].tag == line) {
+        set[w].stamp = tick_;
+        return true;
+      }
+    }
+    Way* victim = set;
+    for (unsigned w = 1; w < ways_; ++w) {
+      if (set[w].stamp < victim->stamp) victim = &set[w];
+    }
+    *victim = {line, tick_};
+    return false;
+  }
+
+ private:
+  struct Way {
+    std::uint64_t tag = ~std::uint64_t{0};
+    std::uint64_t stamp = 0;
+  };
+  std::size_t sets_;
+  unsigned ways_;
+  std::uint64_t tick_ = 0;
+  std::vector<Way> slots_;
+};
+
+/// Runs one random line stream through both models and compares every
+/// hit/miss. The stream mixes a hot set (hits), a range about twice the
+/// capacity (conflict evictions) and sequential runs (set sweeps).
+void expect_same_hits(Cache& cache, std::size_t sets, unsigned ways, std::uint64_t seed) {
+  ReferenceLru ref(sets, ways);
+  Xoshiro256 rng(seed);
+  const std::uint64_t capacity_lines = sets * ways;
+  std::uint64_t hits = 0;
+  std::uint64_t seq = rng.next_below(1 << 20);
+  for (int i = 0; i < 200000; ++i) {
+    std::uint64_t line;
+    switch (rng.next_below(3)) {
+      case 0: line = rng.next_below(capacity_lines / 2 + 1); break;
+      case 1: line = rng.next_below(2 * capacity_lines); break;
+      default: line = seq++; break;
+    }
+    const bool want = ref.access(line);
+    ASSERT_EQ(cache.access(line), want) << "access " << i << " line " << line;
+    hits += want ? 1 : 0;
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_LT(hits, 200000u);
+  EXPECT_EQ(cache.hits(), hits);
+}
+
+TEST(CacheDifferential, TitanVGeometriesMatchReferenceLru) {
+  const auto spec = titan_v();
+  Device dev(spec);
+  const auto sets = [&](const Cache& c) {
+    return static_cast<std::size_t>(c.capacity_bytes() / spec.line_bytes / spec.cache_ways);
+  };
+  // L2 is not a power-of-two set count; read-only and constant are.
+  ASSERT_EQ(sets(dev.l2()), 4608u);
+  ASSERT_EQ(sets(dev.readonly_cache(0)), 128u);
+  ASSERT_EQ(sets(dev.const_cache(0)), 2u);
+  for (Cache* c : {&dev.l2(), &dev.readonly_cache(0), &dev.const_cache(0)}) {
+    for (std::uint64_t seed : {1u, 2u}) {
+      c->reset();
+      ASSERT_NO_FATAL_FAILURE(expect_same_hits(*c, sets(*c), spec.cache_ways, seed))
+          << sets(*c) << " sets, seed " << seed;
+    }
+  }
 }
 
 }  // namespace
