@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
                      "uncontended baseline, the last should overload", "1,8")
       .flag("scan-frac", "online-scan fraction of the stream", "0.15")
       .flag("scan-n", "results each scan asks for", "16")
-      .flag("shards", "simulated devices (1 = single-device server)", "1")
+      .flag("shards", "simulated devices (1 = one device, one shard)", "1")
       .flag("max-batch", "batch size trigger", "512")
       .flag("queue-cap", "admission queue capacity (per request kind)", "1024")
       .flag("gold-weight", "gold dispatch weight (silver 3, bronze 1)", "8")

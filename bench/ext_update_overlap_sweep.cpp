@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
       .flag("requests", "requests per run", "20000")
       .flag("rate", "arrival rate (Mq/s)", "5")
       .flag("updates", "comma list of update fractions", "0,0.05,0.1,0.2,0.5")
-      .flag("shards", "simulated devices (1 = single-device server)", "1")
+      .flag("shards", "simulated devices (1 = one device, one shard)", "1")
       .flag("max-batch", "batch size trigger", "4096")
       .flag("queue-cap", "admission queue capacity", "16384")
       .flag("epoch-updates", "updates buffered per epoch", "512")
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
 
   const std::uint64_t requests = cli.get_uint("requests", 20000);
   const double rate = cli.get_double("rate", 5) * 1e6;
-  const auto fractions = parse_fraction_list(cli.get_string("updates", "0,0.05,0.1,0.2"));
+  const auto fractions = parse_fraction_list(cli.get_string("updates", "0,0.05,0.1,0.2,0.5"));
   const bool check = cli.get_bool("check", false);
 
   hb::print_header("Update-overlap sweep: update fraction x epoch mode",

@@ -112,8 +112,8 @@ struct FaultReport {
 
 class FaultInjector {
  public:
-  /// `num_shards` bounds the shard ids events may target (shard 0 for a
-  /// single-device Server) and `num_replicas` the replica slots a
+  /// `num_shards` bounds the shard ids events may target (shard 0 only on
+  /// a one-device topology) and `num_replicas` the replica slots a
   /// lose/replica-lost event may name (1 for unreplicated topologies —
   /// `replica-lost` events then require num_replicas > 1). Throws on an
   /// out-of-range event.

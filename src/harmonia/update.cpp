@@ -188,15 +188,21 @@ UpdateStats BatchUpdater::apply(std::span<const UpdateOp> ops, unsigned threads)
   if (threads == 1) {
     for (const auto& op : ops) apply_one(op, stats);
   } else {
+    // Ops on one key do not commute (insert-then-delete is not
+    // delete-then-insert), so each key belongs to one worker, which
+    // applies its ops in arrival order. A Fibonacci hash spreads keys
+    // whose low bits repeat.
+    std::vector<std::vector<std::size_t>> owned(threads);
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const std::uint64_t h = ops[i].key * 0x9E3779B97F4A7C15ULL;
+      owned[(h >> 32) % threads].push_back(i);
+    }
     std::vector<UpdateStats> locals(threads);
     std::vector<std::thread> workers;
     workers.reserve(threads);
     for (unsigned t = 0; t < threads; ++t) {
-      workers.emplace_back([this, &ops, &locals, t, threads] {
-        UpdateStats& local = locals[t];
-        for (std::size_t i = t; i < ops.size(); i += threads) {
-          apply_one(ops[i], local);
-        }
+      workers.emplace_back([this, &ops, &owned, &locals, t] {
+        for (std::size_t i : owned[t]) apply_one(ops[i], locals[t]);
       });
     }
     for (auto& w : workers) w.join();

@@ -75,8 +75,10 @@ class BatchUpdater {
   /// batches, under the same no-concurrent-batch contract as apply().
   HarmoniaTree& tree_for_patch() { return tree_; }
 
-  /// Applies one batch with `threads` workers (ops are striped across
-  /// workers), then performs the deferred movement. Returns statistics.
+  /// Applies one batch with `threads` workers, then performs the deferred
+  /// movement. Ops are partitioned across workers by key, so ops on one
+  /// key apply in arrival order and the result does not depend on thread
+  /// timing. Returns statistics.
   UpdateStats apply(std::span<const queries::UpdateOp> ops, unsigned threads = 1);
 
  private:

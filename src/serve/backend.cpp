@@ -114,7 +114,6 @@ void ServerReport::check_invariants() const {
           << epoch_patch_upload_seconds + epoch_compaction_upload_seconds
           << " != epoch_upload_seconds=" << epoch_upload_seconds);
 
-  if (shard_batches.empty()) return;
   HARMONIA_CHECK_MSG(
       sum(shard_admitted) + update_requests == admitted,
       "sharded accounting broken: per-shard admissions sum to "

@@ -1,16 +1,14 @@
 // serve::Backend — the one serving interface over any topology.
 //
-// `Server` (one device) and `ShardedServer` (range-sharded devices) had
-// drifted into parallel, incompatible surfaces that every tool and bench
-// special-cased. Backend unifies them as a template method: the base
-// class owns the deterministic virtual-clock event loop — next event is
-// the earliest of (arrival, batch trigger, epoch trigger, staged image
-// swap), with fault/restore events cutting ahead of same-instant work —
-// and the subclasses supply the topology-specific hooks (submit a query,
-// dispatch the most urgent batch, begin/commit an epoch, drain).
+// Backend is a template method: the base class owns the deterministic
+// virtual-clock event loop — next event is the earliest of (arrival,
+// batch trigger, epoch trigger, staged image swap), with fault/restore
+// events cutting ahead of same-instant work — and the engine supplies
+// the hooks (submit a query, dispatch the most urgent batch, begin/commit
+// an epoch, inject faults, drain). shard::ShardedServer is the one
+// engine; a single-device topology is its 1-shard case.
 //
-// Callers hold a Backend&, run a stream, and read one ServerReport; the
-// per-shard vectors are simply empty on a single-device topology. See
+// Callers hold a Backend&, run a stream, and read one ServerReport. See
 // the migration note in docs/serving.md.
 #pragma once
 
@@ -117,7 +115,7 @@ struct ServerReport {
   /// Injection/detection/mitigation tallies (all zero on fault-free runs).
   fault::FaultReport faults;
 
-  // Sharded-topology extras; all empty/zero on a single-device backend.
+  // Per-shard extras (one entry per shard, a single device included).
 
   /// Query batches dispatched / queries served per shard.
   std::vector<std::uint64_t> shard_batches;
@@ -140,14 +138,13 @@ struct ServerReport {
   double barrier_wait_seconds = 0.0;
 
   /// Replica-group extras (docs/sharding.md#replica-groups): batches per
-  /// replica slot, flattened shard-major ([shard * K + replica]). Empty
-  /// on a single-device backend; sums to `batches` when populated, and
-  /// each shard's K slots sum to its shard_batches entry.
+  /// replica slot, flattened shard-major ([shard * K + replica]). Sums to
+  /// `batches`, and each shard's K slots sum to its shard_batches entry.
   std::vector<std::uint64_t> replica_batches;
 
   /// Live-resharding extras (docs/sharding.md#live-resharding). The plan
-  /// version starts at 1 on a sharded backend (0 = unsharded) and bumps
-  /// once per committed migration, so plan_version == 1 + migrations.
+  /// version starts at 1 and bumps once per committed migration, so
+  /// plan_version == 1 + migrations.
   unsigned plan_version = 1;
   std::uint64_t migrations = 0;
   /// Keys moved across the split boundary, summed over migrations.
@@ -180,13 +177,12 @@ struct ServerReport {
   ///   class_shed[c] + class_update_requests[c];
   ///   class_latency[c].count() == class_completed[c];
   ///   class_throttled[c] <= class_dropped[c]
-  /// and, when the backend is sharded (shard vectors non-empty):
+  /// and per shard:
   ///   sum(shard_admitted) + update_requests == admitted
   ///   sum(shard_dropped) == dropped
   ///   sum(shard_batches) == batches
   ///   sum(replica_batches) == batches, with each shard's K slots
-  ///   summing to its shard_batches entry (when replica_batches is
-  ///   populated);  plan_version == 1 + migrations
+  ///   summing to its shard_batches entry;  plan_version == 1 + migrations
   /// Throws ContractViolation on violation.
   void check_invariants() const;
 };
@@ -222,15 +218,13 @@ class Backend {
   /// The (group_size, sort_bits) pair dispatches are using right now —
   /// equals tunables()'s pair except while a snapshot is latched for a
   /// swap boundary. The swap stress tests pin that window.
-  virtual std::pair<unsigned, unsigned> effective_query_knobs() const {
-    return {tunables_.group_size, tunables_.sort_bits};
-  }
+  virtual std::pair<unsigned, unsigned> effective_query_knobs() const = 0;
 
  protected:
   static constexpr double kNever = std::numeric_limits<double>::infinity();
 
   /// Called once before the loop (size per-shard report vectors, ...).
-  virtual void begin_run(ServerReport& /*report*/) {}
+  virtual void begin_run(ServerReport& report) = 0;
 
   /// Earliest instant a closed batch can start on a free device; kNever
   /// when every scheduler is idle.
@@ -254,18 +248,18 @@ class Backend {
   virtual void epoch_begin(double now, RequestSource& source,
                            ServerReport& report) = 0;
   /// Next atomic image swap; kNever when no staged epoch is swap-ready.
-  virtual double next_swap_time() const { return kNever; }
+  virtual double next_swap_time() const = 0;
   /// Commits (part of) a staged epoch at `now`, a batch boundary.
-  virtual void epoch_commit(double /*now*/, RequestSource& /*source*/,
-                            ServerReport& /*report*/) {}
+  virtual void epoch_commit(double now, RequestSource& source,
+                            ServerReport& report) = 0;
 
   /// Fault hooks: arm times of the next injected fault / due restore.
-  /// They cut ahead of same-instant work. Inert by default.
-  virtual double next_fault_time() const { return kNever; }
-  virtual void handle_fault(double /*now*/, RequestSource& /*source*/,
-                            ServerReport& /*report*/) {}
-  virtual double next_restore_time() const { return kNever; }
-  virtual void handle_restore(double /*now*/, ServerReport& /*report*/) {}
+  /// They cut ahead of same-instant work.
+  virtual double next_fault_time() const = 0;
+  virtual void handle_fault(double now, RequestSource& source,
+                            ServerReport& report) = 0;
+  virtual double next_restore_time() const = 0;
+  virtual void handle_restore(double now, ServerReport& report) = 0;
 
   /// Stream exhausted with no armed trigger: flush remaining batches,
   /// commit any staged epoch, apply leftover updates as a last epoch.
@@ -284,7 +278,7 @@ class Backend {
   /// construction-time config (throw before touching anything), then
   /// install each knob at its safe point — scheduler knobs now,
   /// image/PSA knobs now or latched until the next swap boundary.
-  virtual void install_tunables(const Tunables& /*t*/, double /*now*/) {}
+  virtual void install_tunables(const Tunables& t, double now) = 0;
 
   /// Books one controller decision: bumps the matching counter and
   /// annotates the trace ("tune <action> <note>"). kNone is silent.

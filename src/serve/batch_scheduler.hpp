@@ -166,8 +166,8 @@ class BatchScheduler {
     return config_.pipeline.query_options.psa_override_bits;
   }
 
-  /// Attaches metrics + lifecycle tracing as shard `shard` (0 for a
-  /// single-device server). Counter/histogram handles resolve once here
+  /// Attaches metrics + lifecycle tracing as shard `shard` (0 on a
+  /// one-device topology). Counter/histogram handles resolve once here
   /// (the registry's cold path); admit/dispatch then increment through
   /// cached pointers — lock-free on the hot path. Admitted requests are
   /// stamped at queue-enter, batch-form, and dispatch; the server stamps

@@ -2,18 +2,16 @@
 //
 // Callers (the server-sim tool, the serving benches) describe the
 // topology — key count, fanout, shard count, device preset — and get back
-// a serve::Backend& plus the served keys; whether that is a single-device
-// Server or a range-sharded ShardedServer is decided here, inside src/,
-// so no tool or bench ever branches on the shard count again (the API
-// redesign's contract, docs/serving.md#migration).
+// a serve::Backend& plus the served keys. Every topology, one device
+// included, is a ShardedIndex over a sample_balanced partition served by
+// one ShardedServer, so no tool or bench ever branches on the shard count
+// (docs/serving.md#migration).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "gpusim/device.hpp"
-#include "harmonia/index.hpp"
 #include "persist/durability.hpp"
 #include "persist/recovery.hpp"
 #include "serve/backend.hpp"
@@ -27,8 +25,8 @@ struct TopologySpec {
   /// log2 of the key count; keys come from queries::make_tree_keys(seed).
   std::uint64_t log2_keys = 18;
   unsigned fanout = 64;
-  /// 1 = single-device serve::Server; >1 = range-sharded ShardedServer
-  /// over a sample_balanced partition of the served keys.
+  /// Devices in the topology; the served keys are range-partitioned over
+  /// them by ShardPlan::sample_balanced (1 = one device, one shard).
   unsigned shards = 1;
   std::uint64_t seed = 1;
   /// Device preset for every simulated device in the topology.
@@ -36,9 +34,9 @@ struct TopologySpec {
   std::uint64_t device_global_bytes = 8ULL << 30;
 };
 
-/// Owns the whole serving topology — keys, device(s), index(es), the
-/// optional durability domain, and the Backend over them — with the
-/// lifetimes in the right order. Build one, then drive `backend()` with
+/// Owns the whole serving topology — keys, the sharded index and its
+/// devices, the optional durability domain, and the ShardedServer over
+/// them — with the lifetimes in the right order. Build one, then drive `backend()` with
 /// a request stream.
 ///
 /// When `options.persist` is enabled the stack wires a DurabilityDomain
@@ -67,10 +65,6 @@ class ServingStack {
 
  private:
   std::vector<Key> keys_;
-  // Single-device topology (null when sharded).
-  std::unique_ptr<gpusim::Device> device_;
-  std::unique_ptr<HarmoniaIndex> index_;
-  // Sharded topology (null when single-device).
   std::unique_ptr<ShardedIndex> sharded_;
   std::unique_ptr<persist::DurabilityDomain> durability_;
   std::vector<persist::RecoveryReport> recoveries_;

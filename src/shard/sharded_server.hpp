@@ -1,9 +1,12 @@
-// Online serving over a range-sharded, multi-device index: the Backend
-// hooks (serve/backend.hpp) over a per-shard copy of the serving
-// machinery. Every shard gets its own bounded admission queues and
-// deadline-driven batch scheduler (src/serve/), and its own device
-// timeline, so shards batch and dispatch independently — the whole point
-// of sharding the serving path.
+// The serving engine: the Backend hooks (serve/backend.hpp) over a
+// range-sharded index, with a per-shard copy of the serving machinery.
+// Every shard gets its own bounded admission queues and deadline-driven
+// batch scheduler (src/serve/), and its own device timeline, so shards
+// batch and dispatch independently — the whole point of sharding the
+// serving path. A one-device topology is the 1-shard case of the same
+// engine (shard/backend_factory.hpp builds every topology this way): no
+// request straddles, the barrier waits on one device, and the fence only
+// ever holds that shard's own swap.
 //
 // Three pieces are genuinely cross-shard:
 //   Range fan-out  : a range query whose span straddles a partition
@@ -144,7 +147,7 @@ class ShardedServer : public serve::Backend {
   };
 
   /// The one staged epoch in flight between epoch_begin and the last
-  /// per-shard swap (single staging buffer, like the single-device path).
+  /// per-shard swap (a single staging buffer).
   struct InflightEpoch {
     unsigned ordinal = 0;  // epoch number every shard will swap to
     double trigger = 0.0;

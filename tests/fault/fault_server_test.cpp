@@ -1,4 +1,4 @@
-// Faults through the single-device serving path: an armed-but-idle plan
+// Faults through a one-device (1-shard) topology: an armed-but-idle plan
 // must not perturb a single bit, slowdowns stretch the clock without
 // touching answers, retries absorb transient dispatch failures (and shed
 // once the budget is gone), and resync corruption is caught by the CRC
@@ -10,33 +10,16 @@
 #include "common/expect.hpp"
 #include "fault/checksum.hpp"
 #include "queries/workload.hpp"
-#include "serve/server.hpp"
 #include "serve/workload.hpp"
+#include "shard/sharded_server.hpp"
+#include "../shard/single_shard_fixture.hpp"
 
 namespace harmonia::serve {
 namespace {
 
-gpusim::DeviceSpec test_spec() {
-  auto spec = gpusim::titan_v();
-  spec.num_sms = 8;
-  spec.global_mem_bytes = 512 << 20;
-  return spec;
-}
+using shard::SingleShardFixture;
 
-struct ServerFixture {
-  explicit ServerFixture(std::uint64_t tree_keys = 1 << 12, unsigned fanout = 16)
-      : keys(queries::make_tree_keys(tree_keys, 1)), index([&] {
-          std::vector<btree::Entry> entries;
-          for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
-          return HarmoniaIndex::build(dev, entries, {.fanout = fanout});
-        }()) {}
-
-  gpusim::Device dev{test_spec()};
-  std::vector<Key> keys;
-  HarmoniaIndex index;
-};
-
-std::vector<Request> query_stream(const ServerFixture& f, std::uint64_t count,
+std::vector<Request> query_stream(const SingleShardFixture& f, std::uint64_t count,
                                   std::uint64_t seed) {
   OpenLoopSpec spec;
   spec.arrivals_per_second = 4e6;
@@ -68,11 +51,11 @@ void expect_points_match_tree(const ServerReport& rep,
 // take the exact pre-fault arithmetic path: factor 1.0 contributes +0.0.
 TEST(FaultServer, ArmedButIdlePlanIsBitIdentical) {
   auto run_with = [](const std::string& spec) {
-    ServerFixture f;
+    SingleShardFixture f;
     const auto stream = query_stream(f, 3000, 42);
     ServeOptions cfg = base_config();
     if (!spec.empty()) cfg.faults = fault::FaultPlan::parse(spec);
-    Server server(f.index, cfg);
+    shard::ShardedServer server(f.index, cfg);
     return server.run(stream);
   };
 
@@ -95,13 +78,13 @@ TEST(FaultServer, ArmedButIdlePlanIsBitIdentical) {
 
 TEST(FaultServer, SlowdownStretchesTheClockNotTheAnswers) {
   auto run_with = [](const std::string& spec) {
-    ServerFixture f;
+    SingleShardFixture f;
     const auto stream = query_stream(f, 3000, 42);
     ServeOptions cfg = base_config();
     if (!spec.empty()) cfg.faults = fault::FaultPlan::parse(spec);
-    Server server(f.index, cfg);
+    shard::ShardedServer server(f.index, cfg);
     auto rep = server.run(stream);
-    expect_points_match_tree(rep, stream, f.index);
+    expect_points_match_tree(rep, stream, f.device_index());
     return rep;
   };
 
@@ -116,11 +99,11 @@ TEST(FaultServer, SlowdownStretchesTheClockNotTheAnswers) {
 }
 
 TEST(FaultServer, TransientFailuresAreRetriedWithinBudget) {
-  ServerFixture f;
+  SingleShardFixture f;
   const auto stream = query_stream(f, 2000, 7);
   ServeOptions cfg = base_config();
   cfg.faults = fault::FaultPlan::parse("fail@0:shard=0,count=2");
-  Server server(f.index, cfg);
+  shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
   EXPECT_EQ(rep.faults.dispatch_failures, 2u);
@@ -129,17 +112,17 @@ TEST(FaultServer, TransientFailuresAreRetriedWithinBudget) {
   EXPECT_GT(rep.faults.backoff_seconds, 0.0);
   EXPECT_EQ(rep.shed, 0u);
   EXPECT_EQ(rep.responses.size(), stream.size());
-  expect_points_match_tree(rep, stream, f.index);
+  expect_points_match_tree(rep, stream, f.device_index());
 }
 
 TEST(FaultServer, ExhaustedRetryBudgetShedsTheBatchVisibly) {
-  ServerFixture f;
+  SingleShardFixture f;
   const auto stream = query_stream(f, 2000, 7);
   ServeOptions cfg = base_config();
   // More consecutive failures than any retry budget: some batch dies.
   cfg.faults = fault::FaultPlan::parse("fail@0:shard=0,count=64");
   cfg.mitigation.retry.max_attempts = 3;
-  Server server(f.index, cfg);
+  shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
   EXPECT_GT(rep.faults.retry_shed_batches, 0u);
@@ -151,14 +134,14 @@ TEST(FaultServer, ExhaustedRetryBudgetShedsTheBatchVisibly) {
   std::uint64_t dropped_responses = 0;
   for (const auto& resp : rep.responses) dropped_responses += resp.dropped;
   EXPECT_EQ(dropped_responses, rep.shed + rep.dropped);
-  expect_points_match_tree(rep, stream, f.index);  // survivors stay correct
+  expect_points_match_tree(rep, stream, f.device_index());  // survivors stay correct
 }
 
 // Corruption lands on the device image during an epoch resync; the CRC
 // audit must flag it and the re-image must repair it before queries of the
 // next epoch read the image — so every answer still matches the oracle.
 TEST(FaultServer, ResyncCorruptionIsDetectedAndRepaired) {
-  ServerFixture f;
+  SingleShardFixture f;
   OpenLoopSpec spec;
   spec.arrivals_per_second = 4e6;
   spec.count = 4000;
@@ -199,7 +182,7 @@ TEST(FaultServer, ResyncCorruptionIsDetectedAndRepaired) {
     if (buffered > 0) snapshots.push_back(oracle);
   }
 
-  Server server(f.index, cfg);
+  shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
   EXPECT_EQ(rep.faults.corruptions, 1u);
@@ -207,7 +190,7 @@ TEST(FaultServer, ResyncCorruptionIsDetectedAndRepaired) {
   EXPECT_EQ(rep.faults.checksum_mismatches, 1u);
   EXPECT_GE(rep.faults.reimages, 1u);
   EXPECT_GT(rep.faults.reimage_seconds, 0.0);
-  EXPECT_TRUE(fault::verify_image(f.index)) << "image left damaged after run";
+  EXPECT_TRUE(fault::verify_image(f.device_index())) << "image left damaged after run";
 
   ASSERT_EQ(rep.dropped, 0u);
   ASSERT_EQ(rep.responses.size(), stream.size());
@@ -222,10 +205,10 @@ TEST(FaultServer, ResyncCorruptionIsDetectedAndRepaired) {
 }
 
 TEST(FaultServer, RejectsShardLostOnSingleDevice) {
-  ServerFixture f;
+  SingleShardFixture f;
   ServeOptions cfg = base_config();
   cfg.faults = fault::FaultPlan::parse("lose@0:shard=0,repair=0.001");
-  EXPECT_THROW(Server(f.index, cfg), ContractViolation);
+  EXPECT_THROW(shard::ShardedServer(f.index, cfg), ContractViolation);
 }
 
 }  // namespace

@@ -215,6 +215,55 @@ TEST(BatchUpdater, MultithreadedDisjointUpdatesKeepAllValues) {
   f.check_consistent();
 }
 
+// Several ops on one key in one batch are ordered: insert, update and
+// delete chains on a few hot keys must end the same way, and fail the same
+// number of times, at any worker count as on one thread. Seven hot keys
+// interleave round-robin, so consecutive ops on one key sit 7 apart and
+// would land on different workers if ops were striped by index.
+TEST(BatchUpdater, ThreadedApplyKeepsPerKeyArrivalOrder) {
+  const auto chain_batch = [](const UpdateFixture& f) {
+    std::vector<Key> hot{f.keys[100], f.keys[700], f.keys[1300]};
+    for (std::size_t i = 400; hot.size() < 7; i += 300) {
+      if (!f.oracle.contains(f.keys[i] + 1)) hot.push_back(f.keys[i] + 1);
+    }
+    const OpKind chain[] = {OpKind::kInsert, OpKind::kUpdate, OpKind::kDelete,
+                            OpKind::kUpdate, OpKind::kDelete};
+    std::vector<UpdateOp> ops;
+    for (Value round = 0; round < 1500; ++round) {
+      for (std::size_t h = 0; h < hot.size(); ++h) {
+        ops.push_back({chain[(round + h) % 5], hot[h], round * 16 + h});
+      }
+    }
+    return ops;
+  };
+  const auto contents = [](const HarmoniaTree& tree) {
+    std::map<Key, Value> out;
+    for (const auto& e : tree.range(0, ~Key{0})) out[e.key] = e.value;
+    return out;
+  };
+
+  UpdateFixture serial;
+  const auto ops = chain_batch(serial);
+  serial.apply_to_oracle(ops);
+  const UpdateStats want = serial.updater.apply(ops, 1);
+  serial.check_consistent();
+  ASSERT_GT(want.failed, 0u);
+
+  for (const unsigned threads : {2u, 4u, 8u}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, rep " << rep);
+      UpdateFixture f;
+      const UpdateStats got = f.updater.apply(ops, threads);
+      EXPECT_EQ(got.updates, want.updates);
+      EXPECT_EQ(got.inserts, want.inserts);
+      EXPECT_EQ(got.deletes, want.deletes);
+      EXPECT_EQ(got.failed, want.failed);
+      f.updater.tree().validate();
+      EXPECT_EQ(contents(f.updater.tree()), contents(serial.updater.tree()));
+    }
+  }
+}
+
 TEST(BatchUpdater, StatsTimingsPopulated) {
   UpdateFixture f;
   std::vector<UpdateOp> ops{{OpKind::kUpdate, f.keys[0], 1}};

@@ -14,7 +14,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "queries/workload.hpp"
-#include "serve/server.hpp"
 #include "serve/workload.hpp"
 #include "shard/sharded_server.hpp"
 
@@ -27,19 +26,6 @@ gpusim::DeviceSpec test_spec() {
   spec.global_mem_bytes = 256 << 20;
   return spec;
 }
-
-struct SingleFixture {
-  explicit SingleFixture(std::uint64_t tree_keys = 1 << 12)
-      : keys(queries::make_tree_keys(tree_keys, 1)), index([&] {
-          std::vector<btree::Entry> entries;
-          for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
-          return HarmoniaIndex::build(dev, entries, {.fanout = 16});
-        }()) {}
-
-  gpusim::Device dev{test_spec()};
-  std::vector<Key> keys;
-  HarmoniaIndex index;
-};
 
 struct ShardedFixture {
   explicit ShardedFixture(unsigned shards, std::uint64_t tree_keys = 1 << 12)
@@ -108,50 +94,27 @@ void expect_same_responses(const serve::ServerReport& a,
 
 // Attaching the observer must be invisible to the simulation: every
 // response, drop decision, and virtual timestamp identical to a run with
-// no observer — on the single-device and the sharded path, under faults.
-TEST(Observability, ObserverDoesNotPerturbSingleDeviceRun) {
-  auto run = [](bool observed) {
-    SingleFixture f;
-    serve::ServeOptions cfg = server_config();
-    cfg.faults = fault::FaultPlan::random(
-        [] {
-          fault::FaultPlan::RandomSpec r;
-          r.horizon = 1.0e-3;
-          r.events_per_second = 3000;
-          r.weights[static_cast<int>(fault::FaultKind::kShardLost)] = 0.0;
-          return r;
-        }(),
-        5);
-    obs::MetricsRegistry metrics;
-    obs::TraceRecorder trace;
-    if (observed) cfg.obs = {&metrics, &trace};
-    serve::Server server(f.index, cfg);
-    auto report = server.run(test_stream(f.keys, 9));
-    if (observed) {
-      EXPECT_GT(metrics.prometheus_text().size(), 0u);
-      EXPECT_FALSE(trace.empty());
-    }
-    return report;
-  };
-  expect_same_responses(run(false), run(true));
-}
-
+// no observer — on one device and on four shards, under faults.
 TEST(Observability, ObserverDoesNotPerturbShardedRun) {
-  auto run = [](bool observed) {
-    ShardedFixture f(4);
-    serve::ServeOptions cfg;
-    cfg.batch.max_batch = 128;
-    cfg.batch.max_wait = 80e-6;
-    cfg.batch.queue_capacity = 512;
-    cfg.epoch.max_buffered = 250;
-    cfg.faults = random_plan(4, 17);
-    obs::MetricsRegistry metrics;
-    obs::TraceRecorder trace;
-    if (observed) cfg.obs = {&metrics, &trace};
-    shard::ShardedServer server(f.index, cfg);
-    return server.run(test_stream(f.keys, 21));
-  };
-  expect_same_responses(run(false), run(true));
+  for (const unsigned shards : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << shards << " shard(s)");
+    auto run = [shards](bool observed) {
+      ShardedFixture f(shards);
+      serve::ServeOptions cfg = server_config();
+      cfg.faults = random_plan(shards, 17);
+      obs::MetricsRegistry metrics;
+      obs::TraceRecorder trace;
+      if (observed) cfg.obs = {&metrics, &trace};
+      shard::ShardedServer server(f.index, cfg);
+      auto report = server.run(test_stream(f.keys, 21));
+      if (observed) {
+        EXPECT_GT(metrics.prometheus_text().size(), 0u);
+        EXPECT_FALSE(trace.empty());
+      }
+      return report;
+    };
+    expect_same_responses(run(false), run(true));
+  }
 }
 
 // The exported counters are the report, renamed: cross-check every pair
@@ -239,17 +202,6 @@ TEST(Observability, InvariantsHoldOverRandomFaultPlans) {
                 report.completed + report.shed + report.update_requests);
     }
   }
-  // Single-device Server under its own random plans.
-  for (const std::uint64_t seed : {11u, 12u}) {
-    SCOPED_TRACE(testing::Message() << "single device, seed " << seed);
-    SingleFixture f;
-    serve::ServeOptions cfg = server_config();
-    cfg.faults = random_plan(1, seed);
-    serve::Server server(f.index, cfg);
-    const auto report = server.run(test_stream(f.keys, seed));
-    ASSERT_NO_THROW(report.check_invariants());
-    EXPECT_EQ(report.arrivals, report.admitted + report.dropped);
-  }
 }
 
 TEST(Observability, ViolatedInvariantThrowsWithDiagnostic) {
@@ -266,6 +218,9 @@ TEST(Observability, ViolatedInvariantThrowsWithDiagnostic) {
   report.class_admitted[0] = 9;
   report.class_dropped[0] = 1;
   report.class_completed[0] = 9;
+  report.shard_admitted = {9};
+  report.shard_dropped = {1};
+  report.shard_batches = {0};
   EXPECT_THROW(report.check_invariants(), ContractViolation);  // no latencies
   for (int i = 0; i < 9; ++i) {
     report.latency.add(1e-6 * (i + 1));

@@ -195,8 +195,8 @@ TEST_F(RestartServingTest, RestartExactlyOnEpochSwapBoundary) {
 
   // The swap instant, read straight off the stream: the arrival that
   // fills the epoch buffer to max_buffered is when the quiesce epoch
-  // applies (serve::Server::next_epoch_time returns `now` once
-  // size_ready). No probe run needed — arrivals are deterministic.
+  // applies (ShardedServer::next_epoch_time returns `now` once the
+  // buffer reaches max_buffered). No probe run needed — arrivals are deterministic.
   std::size_t updates = 0;
   double swap_at = -1.0;
   for (const auto& r : stream) {

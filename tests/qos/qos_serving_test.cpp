@@ -1,4 +1,4 @@
-// System tests of the QoS front-end on the single-device serving path:
+// System tests of the QoS front-end on a one-device (1-shard) topology:
 // per-tenant throttling at the admission edge, weighted-fair batch
 // formation under saturation, overload eviction shedding the lowest
 // class first, and the per-class report ledger reconciling with the
@@ -9,31 +9,14 @@
 #include <cstdint>
 
 #include "queries/workload.hpp"
-#include "serve/server.hpp"
 #include "serve/workload.hpp"
+#include "shard/sharded_server.hpp"
+#include "../shard/single_shard_fixture.hpp"
 
 namespace harmonia::serve {
 namespace {
 
-gpusim::DeviceSpec test_spec() {
-  auto spec = gpusim::titan_v();
-  spec.num_sms = 8;
-  spec.global_mem_bytes = 512 << 20;
-  return spec;
-}
-
-struct ServerFixture {
-  explicit ServerFixture(std::uint64_t tree_keys = 1 << 12, unsigned fanout = 16)
-      : keys(queries::make_tree_keys(tree_keys, 1)), index([&] {
-          std::vector<btree::Entry> entries;
-          for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
-          return HarmoniaIndex::build(dev, entries, {.fanout = fanout});
-        }()) {}
-
-  gpusim::Device dev{test_spec()};
-  std::vector<Key> keys;
-  HarmoniaIndex index;
-};
+using shard::SingleShardFixture;
 
 qos::QosConfig three_class_qos() {
   qos::QosConfig q;
@@ -83,7 +66,7 @@ void expect_class_ledger_reconciles(const ServerReport& rep) {
 // throttled (dropped before the queue), other tenants are untouched,
 // and every throttle is tallied both per class and in aggregate.
 TEST(QosServing, TokenBucketThrottlesPerTenant) {
-  ServerFixture f;
+  SingleShardFixture f;
 
   OpenLoopSpec spec;
   spec.arrivals_per_second = 2e6;
@@ -99,7 +82,7 @@ TEST(QosServing, TokenBucketThrottlesPerTenant) {
   cfg.qos.tenant_rate = 3e5;  // under each tenant's ~0.7 Mq/s share
   cfg.qos.tenant_burst = 16.0;
 
-  Server server(f.index, cfg);
+  shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
   EXPECT_GT(rep.throttled, 0u);
@@ -118,8 +101,8 @@ TEST(QosServing, TokenBucketThrottlesPerTenant) {
   // The same stream without throttling admits everything.
   ServeOptions open = cfg;
   open.qos.tenant_rate = 0.0;
-  ServerFixture f2;
-  Server server2(f2.index, open);
+  SingleShardFixture f2;
+  shard::ShardedServer server2(f2.index, open);
   const auto rep2 = server2.run(make_open_loop(f2.keys, spec));
   EXPECT_EQ(rep2.throttled, 0u);
   EXPECT_EQ(rep2.dropped, 0u);
@@ -130,7 +113,7 @@ TEST(QosServing, TokenBucketThrottlesPerTenant) {
 // of the lowest queued class is shed first — bronze absorbs the entire
 // overload while gold completes everything, undropped.
 TEST(QosServing, OverloadShedsLowestClassFirst) {
-  ServerFixture f;
+  SingleShardFixture f;
 
   OpenLoopSpec spec;
   spec.arrivals_per_second = 20e6;  // far past a single device's capacity
@@ -145,7 +128,7 @@ TEST(QosServing, OverloadShedsLowestClassFirst) {
   cfg.batch.queue_capacity = 512;  // small budget: evictions must happen
   cfg.qos = three_class_qos();
 
-  Server server(f.index, cfg);
+  shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
   ASSERT_GT(rep.shed + rep.dropped, 0u) << "not an overload";
@@ -164,7 +147,7 @@ TEST(QosServing, OverloadShedsLowestClassFirst) {
 // advantage and 8x dispatch weight must show up as a strictly better
 // latency profile than bronze on the same saturated stream.
 TEST(QosServing, WeightedFairFavoursGoldUnderSaturation) {
-  ServerFixture f;
+  SingleShardFixture f;
 
   OpenLoopSpec spec;
   spec.arrivals_per_second = 6e6;
@@ -179,7 +162,7 @@ TEST(QosServing, WeightedFairFavoursGoldUnderSaturation) {
   cfg.batch.queue_capacity = 4096;
   cfg.qos = three_class_qos();
 
-  Server server(f.index, cfg);
+  shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
   ASSERT_GT(rep.class_latency[0].count(), 100u);
@@ -195,7 +178,7 @@ TEST(QosServing, WeightedFairFavoursGoldUnderSaturation) {
 // ledger: arrivals land in their class buckets and reconcile, while the
 // scheduler itself stays single-lane legacy (no evictions, no stretch).
 TEST(QosServing, DisabledQosStillKeepsClassLedger) {
-  ServerFixture f;
+  SingleShardFixture f;
 
   OpenLoopSpec spec;
   spec.arrivals_per_second = 2e6;
@@ -211,7 +194,7 @@ TEST(QosServing, DisabledQosStillKeepsClassLedger) {
   cfg.epoch.max_buffered = 200;
   ASSERT_FALSE(cfg.qos.enabled);
 
-  Server server(f.index, cfg);
+  shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
   EXPECT_GT(rep.class_arrivals[1], 0u);  // tenants really spanned classes
   EXPECT_GT(rep.class_arrivals[2], 0u);
@@ -230,13 +213,13 @@ TEST(QosServing, DeterministicReplayWithQosOn) {
   spec.seed = 29;
 
   auto run_once = [&] {
-    ServerFixture f;
+    SingleShardFixture f;
     ServeOptions cfg;
     cfg.batch.max_batch = 128;
     cfg.batch.queue_capacity = 512;
     cfg.qos = three_class_qos();
     cfg.qos.tenant_rate = 2e6;
-    Server server(f.index, cfg);
+    shard::ShardedServer server(f.index, cfg);
     return server.run(make_open_loop(f.keys, spec));
   };
 

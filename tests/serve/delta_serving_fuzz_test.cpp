@@ -1,12 +1,11 @@
 // Differential fuzz of the incremental (delta) epoch pipeline through
 // the full serving stack: a seeded mixed point/range/scan/update stream
-// runs against an incremental-mode Server whose deliberately tiny
+// runs against an incremental-mode 1-shard ShardedServer whose tiny
 // overlay bound forces it to alternate between in-place patch commits
 // and compaction fallbacks, and every response is checked against the
 // snapshot for the epoch it reports — the same response-derived oracle
 // as epoch_pipeline_test.cpp (update responses carry the 1-based epoch
-// ordinal that applied them; apply_threads stays 1 so the arrival-order
-// map oracle is exact). The runs cross >= 1000 patch/compaction/swap
+// ordinal that applied them). The runs cross >= 1000 patch/compaction/swap
 // boundaries, both epoch kinds must actually occur, the patch/compaction
 // report split must reconcile (check_invariants fires inside run()), and
 // the same seed must replay to byte-identical responses.
@@ -19,31 +18,14 @@
 #include "common/expect.hpp"
 #include "queries/workload.hpp"
 #include "serve/options.hpp"
-#include "serve/server.hpp"
 #include "serve/workload.hpp"
+#include "shard/sharded_server.hpp"
+#include "../shard/single_shard_fixture.hpp"
 
 namespace harmonia::serve {
 namespace {
 
-gpusim::DeviceSpec test_spec() {
-  auto spec = gpusim::titan_v();
-  spec.num_sms = 8;
-  spec.global_mem_bytes = 512 << 20;
-  return spec;
-}
-
-struct ServerFixture {
-  explicit ServerFixture(std::uint64_t tree_keys = 1 << 12, unsigned fanout = 16)
-      : keys(queries::make_tree_keys(tree_keys, 1)), index([&] {
-          std::vector<btree::Entry> entries;
-          for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
-          return HarmoniaIndex::build(dev, entries, {.fanout = fanout});
-        }()) {}
-
-  gpusim::Device dev{test_spec()};
-  std::vector<Key> keys;
-  HarmoniaIndex index;
-};
+using shard::SingleShardFixture;
 
 /// Mirrors BatchUpdater semantics on a std::map (as in server_test.cpp).
 void apply_to_oracle(std::map<Key, Value>& oracle, const Request& r) {
@@ -141,9 +123,8 @@ ServeOptions delta_config(std::uint64_t max_buffered, std::size_t overlay_cap) {
   cfg.batch.max_range_results = 16;
   cfg.epoch.max_buffered = max_buffered;
   cfg.epoch.max_wait = 50e-6;
-  // Single-threaded apply: the striped multi-worker apply may order two
-  // same-batch ops on one key either way, which the arrival-order map
-  // oracle cannot model.
+  // One apply thread. (Threaded applies keep per-key arrival order too:
+  // BatchUpdater.ThreadedApplyKeepsPerKeyArrivalOrder.)
   cfg.epoch.apply_threads = 1;
   cfg.epoch.mode = EpochMode::kIncremental;
   cfg.epoch.overlay_capacity = overlay_cap;
@@ -157,7 +138,7 @@ ServeOptions delta_config(std::uint64_t max_buffered, std::size_t overlay_cap) {
 // patch and its commit must see the pre-patch device image; a torn or
 // early-visible patch would show up as an oracle mismatch here.
 TEST(DeltaServingFuzz, DifferentialOracleAcrossThousandEpochBoundaries) {
-  ServerFixture f;
+  SingleShardFixture f;
 
   OpenLoopSpec spec;
   spec.arrivals_per_second = 5e6;
@@ -179,7 +160,7 @@ TEST(DeltaServingFuzz, DifferentialOracleAcrossThousandEpochBoundaries) {
   cfg.epoch.seconds_per_patch_op = 0.0;
   cfg.link.gigabytes_per_second = 100.0;
   cfg.link.latency_seconds = 1e-6;
-  Server server(f.index, cfg);
+  shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
   ASSERT_EQ(rep.dropped, 0u);
@@ -201,11 +182,11 @@ TEST(DeltaServingFuzz, DifferentialOracleAcrossThousandEpochBoundaries) {
   // the drain may commit as a patch — are covered too) and the
   // committed tree still satisfies every structural invariant.
   const auto& final_oracle = snapshots.back();
-  f.index.tree().validate();
-  EXPECT_LE(f.index.overlay_live_count() + f.index.overlay_tombstone_count(),
+  f.device_index().tree().validate();
+  EXPECT_LE(f.device_index().overlay_live_count() + f.device_index().overlay_tombstone_count(),
             cfg.epoch.overlay_capacity);
   for (const auto& [k, v] : final_oracle) {
-    ASSERT_EQ(f.index.search_host(k).value_or(kNotFound), v);
+    ASSERT_EQ(f.device_index().search_host(k).value_or(kNotFound), v);
   }
 }
 
@@ -221,10 +202,10 @@ TEST(DeltaServingFuzz, DeterministicReplay) {
   spec.seed = 99;
 
   auto run_once = [&](ServerReport& out) {
-    ServerFixture f;
+    SingleShardFixture f;
     const auto stream = make_open_loop(f.keys, spec);
     const ServeOptions cfg = delta_config(/*max_buffered=*/16, /*overlay_cap=*/32);
-    Server server(f.index, cfg);
+    shard::ShardedServer server(f.index, cfg);
     out = server.run(stream);
   };
 
@@ -262,11 +243,11 @@ TEST(DeltaServingFuzz, PatchUploadsUndercutFullImageUploads) {
   auto run_mode = [&](EpochMode mode) {
     // A tree big enough that a full-image upload dwarfs a patch burst
     // (the same reason E13's crossover gate runs at --size=19).
-    ServerFixture f(1 << 16);
+    SingleShardFixture f(1 << 16);
     const auto stream = make_open_loop(f.keys, spec);
     ServeOptions cfg = delta_config(/*max_buffered=*/64, /*overlay_cap=*/1024);
     cfg.epoch.mode = mode;
-    Server server(f.index, cfg);
+    shard::ShardedServer server(f.index, cfg);
     return server.run(stream);
   };
 

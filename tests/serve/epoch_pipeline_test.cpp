@@ -23,31 +23,14 @@
 #include "common/expect.hpp"
 #include "queries/workload.hpp"
 #include "serve/options.hpp"
-#include "serve/server.hpp"
 #include "serve/workload.hpp"
+#include "shard/sharded_server.hpp"
+#include "../shard/single_shard_fixture.hpp"
 
 namespace harmonia::serve {
 namespace {
 
-gpusim::DeviceSpec test_spec() {
-  auto spec = gpusim::titan_v();
-  spec.num_sms = 8;
-  spec.global_mem_bytes = 512 << 20;
-  return spec;
-}
-
-struct ServerFixture {
-  explicit ServerFixture(std::uint64_t tree_keys = 1 << 12, unsigned fanout = 16)
-      : keys(queries::make_tree_keys(tree_keys, 1)), index([&] {
-          std::vector<btree::Entry> entries;
-          for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
-          return HarmoniaIndex::build(dev, entries, {.fanout = fanout});
-        }()) {}
-
-  gpusim::Device dev{test_spec()};
-  std::vector<Key> keys;
-  HarmoniaIndex index;
-};
+using shard::SingleShardFixture;
 
 /// Mirrors BatchUpdater semantics on a std::map (as in server_test.cpp).
 void apply_to_oracle(std::map<Key, Value>& oracle, const Request& r) {
@@ -92,7 +75,7 @@ std::vector<std::map<Key, Value>> snapshots_from_responses(
 // stream, every point/range answer still matches the snapshot for the
 // epoch it reports — build/upload overlap never leaks a torn image.
 TEST(EpochPipeline, OverlapDifferentialOracleAcrossEpochs) {
-  ServerFixture f;
+  SingleShardFixture f;
 
   OpenLoopSpec spec;
   spec.arrivals_per_second = 5e6;
@@ -111,7 +94,7 @@ TEST(EpochPipeline, OverlapDifferentialOracleAcrossEpochs) {
   cfg.epoch.max_buffered = 400;
   cfg.epoch.mode = EpochMode::kOverlap;
 
-  Server server(f.index, cfg);
+  shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
   ASSERT_EQ(rep.dropped, 0u);
@@ -175,10 +158,10 @@ TEST(EpochPipeline, OverlapDifferentialOracleAcrossEpochs) {
   // After the run, the live index equals the final snapshot: the last
   // swap (or final drain) installed every buffered update.
   const auto& final_oracle = snapshots.back();
-  f.index.tree().validate();
-  ASSERT_EQ(f.index.tree().num_keys(), final_oracle.size());
+  f.device_index().tree().validate();
+  ASSERT_EQ(f.device_index().tree().num_keys(), final_oracle.size());
   for (const auto& [k, v] : final_oracle) {
-    ASSERT_EQ(f.index.search_host(k).value_or(kNotFound), v);
+    ASSERT_EQ(f.device_index().search_host(k).value_or(kNotFound), v);
   }
 }
 
@@ -194,13 +177,13 @@ TEST(EpochPipeline, ReportAttributesStallAndSwapPerMode) {
   spec.seed = 9;
 
   auto run_mode = [&](EpochMode mode) {
-    ServerFixture f;
+    SingleShardFixture f;
     const auto stream = make_open_loop(f.keys, spec);
     ServeOptions cfg;
     cfg.batch.max_batch = 256;
     cfg.epoch.max_buffered = 200;
     cfg.epoch.mode = mode;
-    Server server(f.index, cfg);
+    shard::ShardedServer server(f.index, cfg);
     return server.run(stream);
   };
 
@@ -241,12 +224,12 @@ TEST(EpochPipeline, ZeroUpdateStreamIdenticalAcrossModes) {
   spec.seed = 17;
 
   auto run_mode = [&](EpochMode mode) {
-    ServerFixture f;
+    SingleShardFixture f;
     const auto stream = make_open_loop(f.keys, spec);
     ServeOptions cfg;
     cfg.batch.max_batch = 128;
     cfg.epoch.mode = mode;
-    Server server(f.index, cfg);
+    shard::ShardedServer server(f.index, cfg);
     return server.run(stream);
   };
 
@@ -274,7 +257,7 @@ TEST(EpochPipeline, ZeroUpdateStreamIdenticalAcrossModes) {
 // modeled apply shrink each epoch to a few microseconds so the run
 // really crosses ~2000 swaps in a fraction of a second.
 TEST(EpochPipeline, ThousandsOfBackToBackSwapsStayMonotonic) {
-  ServerFixture f;
+  SingleShardFixture f;
 
   OpenLoopSpec spec;
   spec.arrivals_per_second = 5e6;
@@ -293,7 +276,7 @@ TEST(EpochPipeline, ThousandsOfBackToBackSwapsStayMonotonic) {
   cfg.link.gigabytes_per_second = 100.0;
   cfg.link.latency_seconds = 1e-6;
 
-  Server server(f.index, cfg);
+  shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
   ASSERT_EQ(rep.dropped, 0u);
@@ -320,28 +303,25 @@ TEST(EpochPipeline, ThousandsOfBackToBackSwapsStayMonotonic) {
     ASSERT_LE(resp->epoch, rep.epochs);
   }
 
-  f.index.tree().validate();
+  f.device_index().tree().validate();
 
   // Final state: epoch grouping must not change what ends up applied.
-  // Checked on a single-threaded replay of the same stream — the striped
-  // multi-worker apply may order two same-batch ops on one key either
-  // way (a pre-existing BatchUpdater semantic the arrival-order map
-  // oracle cannot model); one worker applies them in arrival order.
+  // Checked on a single-threaded replay of the same stream.
   std::map<Key, Value> oracle;
   for (Key k : f.keys) oracle[k] = btree::value_for_key(k);
   for (const Request& r : stream) {
     if (r.kind == RequestKind::kUpdate) apply_to_oracle(oracle, r);
   }
-  ServerFixture f1;
+  SingleShardFixture f1;
   ServeOptions cfg1 = cfg;
   cfg1.epoch.apply_threads = 1;
-  Server serial(f1.index, cfg1);
+  shard::ShardedServer serial(f1.index, cfg1);
   const auto rep1 = serial.run(stream);
   EXPECT_GE(rep1.epochs, 1500u);
-  f1.index.tree().validate();
-  ASSERT_EQ(f1.index.tree().num_keys(), oracle.size());
+  f1.device_index().tree().validate();
+  ASSERT_EQ(f1.device_index().tree().num_keys(), oracle.size());
   for (const auto& [k, v] : oracle) {
-    ASSERT_EQ(f1.index.search_host(k).value_or(kNotFound), v);
+    ASSERT_EQ(f1.device_index().search_host(k).value_or(kNotFound), v);
   }
 }
 
@@ -355,7 +335,7 @@ TEST(EpochPipeline, DeterministicReplayWithThreadedApply) {
   spec.seed = 5;
 
   auto run_once = [&] {
-    ServerFixture f;
+    SingleShardFixture f;
     const auto stream = make_open_loop(f.keys, spec);
     ServeOptions cfg;
     cfg.batch.max_batch = 128;
@@ -363,7 +343,7 @@ TEST(EpochPipeline, DeterministicReplayWithThreadedApply) {
     cfg.epoch.max_buffered = 100;
     cfg.epoch.apply_threads = 2;
     cfg.epoch.mode = EpochMode::kOverlap;
-    Server server(f.index, cfg);
+    shard::ShardedServer server(f.index, cfg);
     return server.run(stream);
   };
 

@@ -1,37 +1,22 @@
-// System tests of the serving event loop: the serving path must return
-// exactly what the offline index would (differentially, across update
-// epochs), the deadline trigger must bound tail queueing delay, and
-// overload must shed load instead of growing the queue.
+// System tests of the serving event loop on a one-device (1-shard)
+// topology: the serving path must return exactly what the offline index
+// would (differentially, across update epochs), the deadline trigger must
+// bound tail queueing delay, and overload must shed load instead of
+// growing the queue. The closed-loop and replay checks run at 1 shard in
+// tests/shard/shard_server_test.cpp.
 #include <gtest/gtest.h>
 
 #include <map>
 
 #include "queries/workload.hpp"
-#include "serve/server.hpp"
 #include "serve/workload.hpp"
+#include "shard/sharded_server.hpp"
+#include "../shard/single_shard_fixture.hpp"
 
 namespace harmonia::serve {
 namespace {
 
-gpusim::DeviceSpec test_spec() {
-  auto spec = gpusim::titan_v();
-  spec.num_sms = 8;
-  spec.global_mem_bytes = 512 << 20;
-  return spec;
-}
-
-struct ServerFixture {
-  explicit ServerFixture(std::uint64_t tree_keys = 1 << 12, unsigned fanout = 16)
-      : keys(queries::make_tree_keys(tree_keys, 1)), index([&] {
-          std::vector<btree::Entry> entries;
-          for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
-          return HarmoniaIndex::build(dev, entries, {.fanout = fanout});
-        }()) {}
-
-  gpusim::Device dev{test_spec()};
-  std::vector<Key> keys;
-  HarmoniaIndex index;
-};
+using shard::SingleShardFixture;
 
 /// Mirrors BatchUpdater semantics on a std::map (phase_workflow style).
 void apply_to_oracle(std::map<Key, Value>& oracle, const Request& r) {
@@ -52,7 +37,7 @@ void apply_to_oracle(std::map<Key, Value>& oracle, const Request& r) {
 // answer the offline index would give for the epoch it was served under —
 // across >= 3 interleaved query/update epochs (point and range lanes).
 TEST(Server, DifferentialOracleAcrossEpochs) {
-  ServerFixture f;
+  SingleShardFixture f;
 
   OpenLoopSpec spec;
   spec.arrivals_per_second = 5e6;
@@ -90,7 +75,7 @@ TEST(Server, DifferentialOracleAcrossEpochs) {
   }
   ASSERT_GE(snapshots.size(), 4u) << "workload must span >= 3 update epochs";
 
-  Server server(f.index, cfg);
+  shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
   ASSERT_EQ(rep.dropped, 0u);
@@ -151,10 +136,10 @@ TEST(Server, DifferentialOracleAcrossEpochs) {
 
   // After the run, the index itself must equal the final snapshot.
   const auto& final_oracle = snapshots.back();
-  f.index.tree().validate();
-  ASSERT_EQ(f.index.tree().num_keys(), final_oracle.size());
+  f.device_index().tree().validate();
+  ASSERT_EQ(f.device_index().tree().num_keys(), final_oracle.size());
   for (const auto& [k, v] : final_oracle) {
-    ASSERT_EQ(f.index.search_host(k).value_or(kNotFound), v);
+    ASSERT_EQ(f.device_index().search_host(k).value_or(kNotFound), v);
   }
 }
 
@@ -162,7 +147,7 @@ TEST(Server, DifferentialOracleAcrossEpochs) {
 // the deadline shifts the whole latency distribution up.
 TEST(Server, DeadlineBoundsTailQueueingDelay) {
   auto run_with_wait = [](double max_wait) {
-    ServerFixture f;
+    SingleShardFixture f;
     OpenLoopSpec spec;
     spec.arrivals_per_second = 2e6;  // well under capacity: waiting is
     spec.count = 8000;               // deadline-dominated, not contention
@@ -172,7 +157,7 @@ TEST(Server, DeadlineBoundsTailQueueingDelay) {
     ServeOptions cfg;
     cfg.batch.max_batch = 4096;  // size trigger out of the way
     cfg.batch.max_wait = max_wait;
-    Server server(f.index, cfg);
+    shard::ShardedServer server(f.index, cfg);
     return server.run(stream);
   };
 
@@ -193,7 +178,7 @@ TEST(Server, DeadlineBoundsTailQueueingDelay) {
 // Acceptance: under overload the bounded queue rejects; the backlog (and
 // hence queueing delay) stays bounded instead of growing with the stream.
 TEST(Server, OverloadShedsLoadInsteadOfGrowingQueue) {
-  ServerFixture f;
+  SingleShardFixture f;
   OpenLoopSpec spec;
   spec.arrivals_per_second = 500e6;  // far beyond device capacity
   spec.count = 20000;
@@ -204,7 +189,7 @@ TEST(Server, OverloadShedsLoadInsteadOfGrowingQueue) {
   cfg.batch.max_batch = 256;
   cfg.batch.max_wait = 50e-6;
   cfg.batch.queue_capacity = 1024;
-  Server server(f.index, cfg);
+  shard::ShardedServer server(f.index, cfg);
   const auto rep = server.run(stream);
 
   EXPECT_GT(rep.dropped, 0u);
@@ -220,68 +205,11 @@ TEST(Server, OverloadShedsLoadInsteadOfGrowingQueue) {
   OpenLoopSpec longer = spec;
   longer.count = 2 * spec.count;
   const auto stream2 = make_open_loop(f.keys, longer);
-  ServerFixture f2;
-  Server server2(f2.index, cfg);
+  SingleShardFixture f2;
+  shard::ShardedServer server2(f2.index, cfg);
   const auto rep2 = server2.run(stream2);
   EXPECT_GT(rep2.dropped, rep.dropped);  // shedding scales with the stream
   EXPECT_LE(rep2.queue_delay.max(), rep.queue_delay.max() * 1.25);
-}
-
-TEST(Server, ClosedLoopNeverOverflowsClientPopulation) {
-  ServerFixture f;
-  ClosedLoopSpec spec;
-  spec.clients = 32;
-  spec.think_seconds = 10e-6;
-  spec.total_requests = 2000;
-  spec.seed = 3;
-  ClosedLoopSource source(f.keys, spec);
-
-  ServeOptions cfg;
-  cfg.batch.max_batch = 64;
-  cfg.batch.max_wait = 30e-6;
-  Server server(f.index, cfg);
-  const auto rep = server.run(source);
-
-  EXPECT_EQ(source.issued(), 2000u);
-  EXPECT_EQ(rep.completed, 2000u);
-  EXPECT_EQ(rep.dropped, 0u);
-  // At most `clients` requests can ever wait.
-  EXPECT_LE(rep.queue_depth.max(), 32.0);
-  // Every response's latency includes its wait + service, never negative.
-  EXPECT_GE(rep.latency.min(), 0.0);
-}
-
-// Serving must be a pure replay: same stream, same config -> identical
-// virtual-clock trace.
-TEST(Server, DeterministicReplay) {
-  OpenLoopSpec spec;
-  spec.arrivals_per_second = 4e6;
-  spec.count = 3000;
-  spec.update_fraction = 0.1;
-  spec.seed = 5;
-
-  auto run_once = [&] {
-    ServerFixture f;
-    const auto stream = make_open_loop(f.keys, spec);
-    ServeOptions cfg;
-    cfg.batch.max_batch = 128;
-    cfg.batch.max_wait = 80e-6;
-    cfg.epoch.max_buffered = 100;
-    Server server(f.index, cfg);
-    return server.run(stream);
-  };
-
-  const auto a = run_once();
-  const auto b = run_once();
-  ASSERT_EQ(a.responses.size(), b.responses.size());
-  for (std::size_t i = 0; i < a.responses.size(); ++i) {
-    EXPECT_EQ(a.responses[i].id, b.responses[i].id);
-    EXPECT_DOUBLE_EQ(a.responses[i].completion, b.responses[i].completion);
-    EXPECT_EQ(a.responses[i].value, b.responses[i].value);
-  }
-  EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.batches, b.batches);
-  EXPECT_EQ(a.epochs, b.epochs);
 }
 
 }  // namespace

@@ -151,9 +151,8 @@ serve::ServeOptions delta_config(std::uint64_t max_buffered,
   cfg.batch.max_range_results = 16;
   cfg.epoch.max_buffered = max_buffered;
   cfg.epoch.max_wait = 50e-6;
-  // Single-threaded apply: the striped multi-worker apply may order two
-  // same-batch ops on one key either way, which the arrival-order map
-  // oracle cannot model.
+  // One apply thread. (Threaded applies keep per-key arrival order too:
+  // BatchUpdater.ThreadedApplyKeepsPerKeyArrivalOrder.)
   cfg.epoch.apply_threads = 1;
   cfg.epoch.mode = serve::EpochMode::kIncremental;
   cfg.epoch.overlay_capacity = overlay_cap;

@@ -85,6 +85,21 @@ std::vector<std::map<Key, Value>> make_snapshots(
   return snapshots;
 }
 
+/// Update and delete ops that miss their key when the stream's updates
+/// apply one by one in arrival order: the updates_failed a run must report.
+std::uint64_t expected_failures(const std::vector<Key>& keys,
+                                const std::vector<serve::Request>& stream) {
+  std::map<Key, Value> live;
+  for (Key k : keys) live[k] = btree::value_for_key(k);
+  std::uint64_t failed = 0;
+  for (const serve::Request& r : stream) {
+    if (r.kind != serve::RequestKind::kUpdate) continue;
+    if (r.op != queries::OpKind::kInsert && !live.contains(r.key)) ++failed;
+    apply_to_oracle(live, r);
+  }
+  return failed;
+}
+
 /// Runs the sharded server over `stream` and checks every response
 /// against the snapshot for the epoch it reports — the atomicity pin: a
 /// response served from a half-updated cross-shard state could not match
@@ -102,6 +117,7 @@ void run_and_check_oracle(ShardedFixture& f,
   EXPECT_EQ(rep.dropped, 0u);
   EXPECT_EQ(rep.responses.size(), stream.size());
   EXPECT_EQ(rep.epochs + 1, snapshots.size());
+  EXPECT_EQ(rep.updates_failed, expected_failures(f.keys, stream));
 
   for (const auto& resp : rep.responses) {
     ASSERT_LT(resp.epoch, snapshots.size());
@@ -157,36 +173,49 @@ void run_and_check_oracle(ShardedFixture& f,
 
 // Acceptance: >= 3 cross-shard update epochs with multi-threaded applies
 // interleaved with point and straddling range queries — every admitted
-// request answered exactly as a whole-epoch snapshot would.
+// request answered exactly as a whole-epoch snapshot would. The second
+// input pairs zipfian lookups with four apply threads: an epoch holding an
+// update and a delete of one key must still apply them in arrival order,
+// or the failed-op count drifts from the oracle's.
 TEST(ShardedServer, DifferentialOracleAcrossEpochs) {
-  ShardedFixture f(4);
+  struct Input {
+    queries::Distribution dist;
+    unsigned apply_threads;
+  };
+  for (const Input in : {Input{queries::Distribution::kUniform, 2},
+                         Input{queries::Distribution::kZipfian, 4}}) {
+    SCOPED_TRACE(testing::Message() << in.apply_threads << " apply threads");
+    ShardedFixture f(4);
 
-  serve::OpenLoopSpec spec;
-  spec.arrivals_per_second = 5e6;
-  spec.count = 6000;
-  spec.update_fraction = 0.25;
-  spec.range_fraction = 0.10;
-  spec.range_span = 64;  // wide enough to straddle partition boundaries
-  spec.seed = 42;
-  const auto stream = serve::make_open_loop(f.keys, spec);
+    serve::OpenLoopSpec spec;
+    spec.arrivals_per_second = 5e6;
+    spec.count = 6000;
+    spec.update_fraction = 0.25;
+    spec.range_fraction = 0.10;
+    spec.range_span = 64;  // wide enough to straddle partition boundaries
+    spec.dist = in.dist;
+    spec.seed = 42;
+    const auto stream = serve::make_open_loop(f.keys, spec);
 
-  serve::ServeOptions cfg;
-  cfg.batch.max_batch = 256;
-  cfg.batch.max_wait = 100e-6;
-  cfg.batch.queue_capacity = 8192;  // no drops: every request oracle-checked
-  cfg.batch.max_range_results = 16;
-  cfg.epoch.max_buffered = 400;
-  cfg.epoch.apply_threads = 2;
+    serve::ServeOptions cfg;
+    cfg.batch.max_batch = 256;
+    cfg.batch.max_wait = 100e-6;
+    cfg.batch.queue_capacity = 8192;  // no drops: every request oracle-checked
+    cfg.batch.max_range_results = 16;
+    cfg.epoch.max_buffered = 400;
+    cfg.epoch.apply_threads = in.apply_threads;
 
-  serve::ServerReport rep;
-  run_and_check_oracle(f, stream, cfg, &rep);
-  EXPECT_GE(rep.epochs, 3u);
-  EXPECT_GT(rep.split_ranges, 0u);  // boundary-straddling fan-outs happened
-  EXPECT_GE(rep.barrier_wait_seconds, 0.0);
-  // Balanced partition + uniform stream: every shard served real work.
-  for (unsigned s = 0; s < 4; ++s) {
-    EXPECT_GT(rep.shard_batches[s], 0u) << "shard " << s;
-    EXPECT_GT(rep.shard_queries[s], 0u) << "shard " << s;
+    serve::ServerReport rep;
+    run_and_check_oracle(f, stream, cfg, &rep);
+    EXPECT_GE(rep.epochs, 3u);
+    EXPECT_GT(rep.updates_failed, 0u);  // the stream has same-key collisions
+    EXPECT_GT(rep.split_ranges, 0u);  // boundary-straddling fan-outs happened
+    EXPECT_GE(rep.barrier_wait_seconds, 0.0);
+    // Balanced partition: every shard served real work.
+    for (unsigned s = 0; s < 4; ++s) {
+      EXPECT_GT(rep.shard_batches[s], 0u) << "shard " << s;
+      EXPECT_GT(rep.shard_queries[s], 0u) << "shard " << s;
+    }
   }
 }
 
@@ -254,25 +283,29 @@ TEST(ShardedServer, OverloadShedsLoadInsteadOfGrowingQueues) {
 }
 
 TEST(ShardedServer, ClosedLoopNeverOverflowsClientPopulation) {
-  ShardedFixture f(3);
-  serve::ClosedLoopSpec spec;
-  spec.clients = 32;
-  spec.think_seconds = 10e-6;
-  spec.total_requests = 2000;
-  spec.seed = 3;
-  serve::ClosedLoopSource source(f.keys, spec);
+  for (const unsigned shards : {1u, 3u}) {
+    SCOPED_TRACE(testing::Message() << shards << " shard(s)");
+    ShardedFixture f(shards);
+    serve::ClosedLoopSpec spec;
+    spec.clients = 32;
+    spec.think_seconds = 10e-6;
+    spec.total_requests = 2000;
+    spec.seed = 3;
+    serve::ClosedLoopSource source(f.keys, spec);
 
-  serve::ServeOptions cfg;
-  cfg.batch.max_batch = 64;
-  cfg.batch.max_wait = 30e-6;
-  ShardedServer server(f.index, cfg);
-  const auto rep = server.run(source);
+    serve::ServeOptions cfg;
+    cfg.batch.max_batch = 64;
+    cfg.batch.max_wait = 30e-6;
+    ShardedServer server(f.index, cfg);
+    const auto rep = server.run(source);
 
-  EXPECT_EQ(source.issued(), 2000u);
-  EXPECT_EQ(rep.completed, 2000u);
-  EXPECT_EQ(rep.dropped, 0u);
-  EXPECT_LE(rep.queue_depth.max(), 32.0);
-  EXPECT_GE(rep.latency.min(), 0.0);
+    EXPECT_EQ(source.issued(), 2000u);
+    EXPECT_EQ(rep.completed, 2000u);
+    EXPECT_EQ(rep.dropped, 0u);
+    // At most `clients` requests can ever wait.
+    EXPECT_LE(rep.queue_depth.max(), 32.0);
+    EXPECT_GE(rep.latency.min(), 0.0);
+  }
 }
 
 // Sharded serving must be a pure replay: same stream, same partition,
@@ -286,31 +319,34 @@ TEST(ShardedServer, DeterministicReplay) {
   spec.range_span = 128;
   spec.seed = 5;
 
-  auto run_once = [&] {
-    ShardedFixture f(4);
-    const auto stream = serve::make_open_loop(f.keys, spec);
-    serve::ServeOptions cfg;
-    cfg.batch.max_batch = 128;
-    cfg.batch.max_wait = 80e-6;
-    cfg.epoch.max_buffered = 100;
-    ShardedServer server(f.index, cfg);
-    return server.run(stream);
-  };
+  for (const unsigned shards : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << shards << " shard(s)");
+    auto run_once = [&] {
+      ShardedFixture f(shards);
+      const auto stream = serve::make_open_loop(f.keys, spec);
+      serve::ServeOptions cfg;
+      cfg.batch.max_batch = 128;
+      cfg.batch.max_wait = 80e-6;
+      cfg.epoch.max_buffered = 100;
+      ShardedServer server(f.index, cfg);
+      return server.run(stream);
+    };
 
-  const auto a = run_once();
-  const auto b = run_once();
-  ASSERT_EQ(a.responses.size(), b.responses.size());
-  for (std::size_t i = 0; i < a.responses.size(); ++i) {
-    EXPECT_EQ(a.responses[i].id, b.responses[i].id);
-    EXPECT_DOUBLE_EQ(a.responses[i].completion, b.responses[i].completion);
-    EXPECT_EQ(a.responses[i].value, b.responses[i].value);
-    EXPECT_EQ(a.responses[i].range_values, b.responses[i].range_values);
+    const auto a = run_once();
+    const auto b = run_once();
+    ASSERT_EQ(a.responses.size(), b.responses.size());
+    for (std::size_t i = 0; i < a.responses.size(); ++i) {
+      EXPECT_EQ(a.responses[i].id, b.responses[i].id);
+      EXPECT_DOUBLE_EQ(a.responses[i].completion, b.responses[i].completion);
+      EXPECT_EQ(a.responses[i].value, b.responses[i].value);
+      EXPECT_EQ(a.responses[i].range_values, b.responses[i].range_values);
+    }
+    EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
+    EXPECT_EQ(a.batches, b.batches);
+    EXPECT_EQ(a.epochs, b.epochs);
+    EXPECT_EQ(a.split_ranges, b.split_ranges);
+    EXPECT_DOUBLE_EQ(a.barrier_wait_seconds, b.barrier_wait_seconds);
   }
-  EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.batches, b.batches);
-  EXPECT_EQ(a.epochs, b.epochs);
-  EXPECT_EQ(a.split_ranges, b.split_ranges);
-  EXPECT_DOUBLE_EQ(a.barrier_wait_seconds, b.barrier_wait_seconds);
 }
 
 // Regression: per-shard admission counters must tally each request

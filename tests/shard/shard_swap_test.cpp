@@ -212,9 +212,7 @@ TEST(ShardSwap, StaggeredSwapsNeverMixSnapshots) {
   cfg.batch.queue_capacity = 8192;  // no drops: every request oracle-checked
   cfg.batch.max_range_results = 16;
   cfg.epoch.max_buffered = 400;
-  // Single-threaded apply: the striped multi-worker apply may order two
-  // same-batch ops on one key either way, which the arrival-order map
-  // oracle cannot model (threads are exercised by the fence stress).
+  // One apply thread; threads are exercised by the fence stress.
   cfg.epoch.apply_threads = 1;
   cfg.epoch.mode = serve::EpochMode::kOverlap;
 
@@ -279,11 +277,9 @@ TEST(ShardSwap, EpochVersionsMonotonicInCompletionOrder) {
 // apply drive hundreds of staggered swap windows under a heavy update +
 // straddling range mix, each window fencing in-flight fan-outs and
 // parking fresh straddlers, with a threaded shadow apply per shard (the
-// real-thread TSan surface). Assertions stick to thread-schedule-
-// independent properties — monotone epochs, fan-out and accounting
-// tallies — because the striped apply may order two same-batch ops on
-// one key either way; the merge's internal same-epoch assertion is
-// still live on every straddler, so a fence slip aborts the run.
+// real-thread TSan surface). Assertions stick to monotone epochs and
+// fan-out and accounting tallies; the merge's internal same-epoch
+// assertion is live on every straddler, so a fence slip aborts the run.
 TEST(ShardSwap, HighFrequencySwapFenceStress) {
   ShardedFixture f(2);
 

@@ -4,8 +4,8 @@
 // The unit half feeds the controller hand-rolled metric windows and
 // checks the control-loop guard rails one by one: warmup, bounded step,
 // keep-on-gain, one-step rollback, p99 band, SLO veto, cooldown, and
-// bit-identical decision replay. The integration half runs a real
-// Server under a saturating stream and asserts the API redesign's
+// bit-identical decision replay. The integration half runs a 1-shard
+// ShardedServer under a saturating stream and asserts the API redesign's
 // observable contract: tune decisions land in the metrics counters and
 // the trace, and the image/PSA knobs never change off an epoch-swap
 // boundary (a scripted controller samples effective_query_knobs()
@@ -20,11 +20,14 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "queries/workload.hpp"
-#include "serve/server.hpp"
 #include "serve/workload.hpp"
+#include "shard/sharded_server.hpp"
+#include "../shard/single_shard_fixture.hpp"
 
 namespace harmonia::tune {
 namespace {
+
+using shard::SingleShardFixture;
 
 // ---------------------------------------------------------------- unit
 
@@ -234,26 +237,6 @@ TEST(AutotunerTest, ProfileFeedbackSeedsImageKnobs) {
 
 // --------------------------------------------------------- integration
 
-gpusim::DeviceSpec test_spec() {
-  auto spec = gpusim::titan_v();
-  spec.num_sms = 8;
-  spec.global_mem_bytes = 512 << 20;
-  return spec;
-}
-
-struct ServerFixture {
-  explicit ServerFixture(std::uint64_t tree_keys = 1 << 12)
-      : keys(queries::make_tree_keys(tree_keys, 1)), index([&] {
-          std::vector<btree::Entry> entries;
-          for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
-          return HarmoniaIndex::build(dev, entries, {.fanout = 16});
-        }()) {}
-
-  gpusim::Device dev{test_spec()};
-  std::vector<Key> keys;
-  HarmoniaIndex index;
-};
-
 serve::OpenLoopSpec saturating_spec(std::uint64_t count) {
   serve::OpenLoopSpec spec;
   spec.arrivals_per_second = 30e6;
@@ -264,7 +247,7 @@ serve::OpenLoopSpec saturating_spec(std::uint64_t count) {
 }
 
 TEST(AutotunerServingTest, DecisionsLandInMetricsAndTrace) {
-  ServerFixture f;
+  SingleShardFixture f;
   obs::MetricsRegistry metrics;
   obs::TraceRecorder trace;
 
@@ -282,7 +265,7 @@ TEST(AutotunerServingTest, DecisionsLandInMetricsAndTrace) {
   opts.obs = {&metrics, &trace};
   opts.tuner = &tuner;
 
-  serve::Server server(f.index, opts);
+  shard::ShardedServer server(f.index, opts);
   const auto rep = server.run(make_open_loop(f.keys, saturating_spec(30000)));
   rep.check_invariants();
 
@@ -351,7 +334,7 @@ class LatchProbe : public serve::TuneController {
 // provably lands while a staged epoch is in flight, then the probe's own
 // ticks observe the old group size until the swap installs the latch.
 TEST(AutotunerServingTest, ImageKnobsOnlyChangeAtSwapBoundaries) {
-  ServerFixture f;
+  SingleShardFixture f;
 
   serve::ServeOptions opts;
   opts.batch.max_batch = 256;
@@ -364,7 +347,7 @@ TEST(AutotunerServingTest, ImageKnobsOnlyChangeAtSwapBoundaries) {
   LatchProbe probe(/*tick_every=*/50e-6, /*apply_after=*/1e-3);
   opts.tuner = &probe;
 
-  serve::Server server(f.index, opts);
+  shard::ShardedServer server(f.index, opts);
   probe.attach(&server);
 
   serve::OpenLoopSpec spec = saturating_spec(40000);
