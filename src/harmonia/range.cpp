@@ -1,6 +1,7 @@
 #include "harmonia/range.hpp"
 
 #include <array>
+#include <atomic>
 
 #include "common/expect.hpp"
 
@@ -17,7 +18,8 @@ RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
   HARMONIA_CHECK(config.max_results > 0);
   const unsigned warp = device.spec().warp_size;
   const unsigned kpn = image.keys_per_node();
-  std::uint64_t total_results = 0;
+  // Warps run concurrently: each adds its own result count once.
+  std::atomic<std::uint64_t> total_results{0};
 
   auto kernel = [&](gpusim::WarpCtx& w) {
     const std::uint64_t q = w.warp_id();
@@ -129,7 +131,6 @@ RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
       out_buf[buffered] = v;
       ++buffered;
       ++count;
-      ++total_results;
       if (buffered == warp) flush_out();
     };
 
@@ -208,12 +209,13 @@ RangeStats range_batch(gpusim::Device& device, const HarmoniaDeviceImage& image,
     cnt_val[0] = count;
     w.scatter<std::uint32_t>(gpusim::lane_bit(0), std::span(cnt_addr.data(), warp),
                              std::span<const std::uint32_t>(cnt_val.data(), warp));
+    total_results.fetch_add(count, std::memory_order_relaxed);
   };
 
   RangeStats stats;
   stats.metrics = device.launch(n, kernel);
   stats.queries = n;
-  stats.results = total_results;
+  stats.results = total_results.load(std::memory_order_relaxed);
   return stats;
 }
 

@@ -35,10 +35,12 @@ SearchStats search_batch(gpusim::Device& device, const HarmoniaDeviceImage& imag
   const unsigned chunks_per_node = (kpn + gs - 1) / gs;
   const std::uint64_t num_warps = (n + qpw - 1) / qpw;
 
-  std::uint64_t chunk_steps_total = 0;
+  // Warps run concurrently: each counts its own steps and adds them once.
+  std::atomic<std::uint64_t> chunk_steps_total{0};
 
   auto kernel = [&](gpusim::WarpCtx& w) {
     const std::uint64_t base = w.warp_id() * qpw;
+    std::uint64_t chunk_steps = 0;
     const unsigned nq = static_cast<unsigned>(std::min<std::uint64_t>(qpw, n - base));
 
     std::array<std::uint64_t, 32> addrs{};
@@ -171,7 +173,7 @@ SearchStats search_batch(gpusim::Device& device, const HarmoniaDeviceImage& imag
         if (mask == 0) break;
         w.gather<Key>(mask, std::span(addrs.data(), warp), lane_keys);
         w.compute(mask);  // the SIMT comparison step
-        ++chunk_steps_total;
+        ++chunk_steps;
 
         for (unsigned g = 0; g < nq; ++g) {
           if (resolved[g] || (config.early_exit && group_done[g])) continue;
@@ -252,13 +254,14 @@ SearchStats search_batch(gpusim::Device& device, const HarmoniaDeviceImage& imag
     }
     w.scatter<Value>(out_mask, std::span(addrs.data(), warp),
                      std::span<const Value>(out_vals.data(), warp));
+    chunk_steps_total.fetch_add(chunk_steps, std::memory_order_relaxed);
   };
 
   SearchStats stats;
   stats.metrics = device.launch(num_warps, kernel);
   stats.queries = n;
   stats.warps = num_warps;
-  stats.chunk_steps = chunk_steps_total;
+  stats.chunk_steps = chunk_steps_total.load(std::memory_order_relaxed);
   return stats;
 }
 

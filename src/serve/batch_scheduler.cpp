@@ -46,7 +46,7 @@ BatchScheduler::BatchScheduler(HarmoniaIndex& index, const TransferModel& link,
     lanes_.emplace_back(config_.queue_capacity);
 }
 
-std::size_t BatchScheduler::depth() const {
+std::size_t BatchScheduler::lanes_depth() const {
   std::size_t n = 0;
   for (const RequestQueue& q : lanes_) n += q.size();
   return n;
@@ -119,6 +119,7 @@ BatchScheduler::Admit BatchScheduler::admit(const Request& r) {
       return result;
     }
     result.evicted = lane(k, *victim_class).pop_back();
+    --depth_;
     ++evicted_[*victim_class];
     if (obs_.active() && evicted_metrics_[*victim_class] != nullptr)
       evicted_metrics_[*victim_class]->inc();
@@ -126,6 +127,7 @@ BatchScheduler::Admit BatchScheduler::admit(const Request& r) {
 
   const bool ok = lane(k, qos::index(q.klass)).try_push(q);
   HARMONIA_CHECK(ok);  // budget was checked (or a victim made room)
+  ++depth_;
   result.admitted = true;
   if (obs_.active()) {
     if (m.admitted != nullptr) m.admitted->inc();
@@ -268,6 +270,7 @@ std::vector<Request> BatchScheduler::evict_all() {
   out.reserve(depth());
   for (RequestQueue& q : lanes_)
     while (!q.empty()) out.push_back(q.pop());
+  depth_ = 0;
   std::stable_sort(out.begin(), out.end(), [](const Request& a, const Request& b) {
     return a.arrival != b.arrival ? a.arrival < b.arrival : a.id < b.id;
   });
@@ -319,6 +322,7 @@ BatchScheduler::Dispatch BatchScheduler::dispatch_lane(std::size_t kind,
   std::vector<Request> members;
   members.reserve(n);
   for (std::size_t i = 0; i < n; ++i) members.push_back(q.pop());
+  depth_ -= n;
 
   Dispatch d;
   d.kind = members.front().kind;

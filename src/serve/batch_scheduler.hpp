@@ -82,7 +82,12 @@ class BatchScheduler {
   /// Not admitted = backpressure (no eviction candidate was available).
   Admit admit(const Request& r);
 
-  std::size_t depth() const;
+  /// Queued requests over all lanes: a running count, updated on every
+  /// push and pop (the serving loop asks on every event).
+  std::size_t depth() const {
+    HARMONIA_DCHECK(depth_ == lanes_depth());
+    return depth_;
+  }
   bool empty() const { return depth() == 0; }
 
   /// Free admission slots in a kind's budget. The sharded fan-out path
@@ -189,6 +194,8 @@ class BatchScheduler {
   }
   /// Queued requests across a kind's class lanes (its budget use).
   std::size_t kind_depth(std::size_t kind) const;
+  /// The lane sum depth_ must equal.
+  std::size_t lanes_depth() const;
   /// This lane's deadline: oldest arrival + class-stretched max_wait.
   double lane_deadline(std::size_t kind, std::size_t klass) const;
 
@@ -214,6 +221,7 @@ class BatchScheduler {
   qos::WeightedFair wfq_;
   /// kKinds x kNumClasses bounded lanes, kind-major (lane_at).
   std::vector<RequestQueue> lanes_;
+  std::size_t depth_ = 0;
   std::array<std::uint64_t, qos::kNumClasses> evicted_{};
   fault::FaultInjector* injector_ = nullptr;
   unsigned shard_ = 0;

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 namespace harmonia::gpusim {
 namespace {
@@ -16,7 +20,7 @@ DeviceSpec tiny_spec() {
 
 TEST(Device, LaunchRunsKernelPerWarp) {
   Device dev(tiny_spec());
-  std::uint64_t ran = 0;
+  std::atomic<std::uint64_t> ran{0};
   const auto metrics = dev.launch(10, [&](WarpCtx& w) {
     ++ran;
     w.compute(full_mask(w.warp_size()));
@@ -172,6 +176,122 @@ TEST(Device, InactiveLanesUntouchedByGather) {
   });
   EXPECT_EQ(got[0], 5u);
   EXPECT_EQ(got[1], 999u);  // inactive lane untouched
+}
+
+TEST(Device, WorkerExceptionRethrownOnCallerForLowestWarp) {
+  // One warp per SM, so one wave. Warps 1 and 2 throw; the launch
+  // rethrows warp 1's exception on the caller. When the pool has threads,
+  // the caller holds its task of another SM until warp 1 has run, so a
+  // pool thread runs it (unless the caller claimed SM 1 itself: retry).
+  Device dev(tiny_spec());
+  const auto caller = std::this_thread::get_id();
+  const bool pool_threads = std::thread::hardware_concurrency() > 1;
+  bool thrown_off_caller = false;
+  for (int attempt = 0; attempt < 20 && !thrown_off_caller; ++attempt) {
+    std::atomic<bool> reached{false};
+    std::atomic<bool> off_caller{false};
+    try {
+      dev.launch(4, [&](WarpCtx& w) {
+        w.compute(full_mask(32));
+        const bool on_caller = std::this_thread::get_id() == caller;
+        if (w.warp_id() == 1) {
+          off_caller = !on_caller;
+          reached = true;
+        }
+        if (w.warp_id() == 1 || w.warp_id() == 2) {
+          throw std::runtime_error("warp " + std::to_string(w.warp_id()));
+        }
+        if (pool_threads && on_caller) {
+          const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (!reached && std::chrono::steady_clock::now() < give_up) {
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+          }
+        }
+      });
+      ADD_FAILURE() << "launch did not throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "warp 1");
+    }
+    thrown_off_caller = off_caller;
+  }
+  if (pool_threads) {
+    EXPECT_TRUE(thrown_off_caller);
+  }
+}
+
+TEST(Device, StalledThreadsBlockRunsElsewhere) {
+  // Eight SMs, one warp each: with four workers each owns a block of two
+  // SMs. The first warp that runs off the caller stalls until every other
+  // warp has run, so the rest of its thread's block must run elsewhere.
+  DeviceSpec spec = tiny_spec();
+  spec.num_sms = 8;
+  Device dev(spec);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<unsigned> ran{0};
+  std::atomic<bool> stalled{false};
+  std::atomic<bool> others_ran{false};
+  const auto metrics = dev.launch(8, [&](WarpCtx& w) {
+    w.compute(full_mask(32));
+    if (std::this_thread::get_id() != caller && !stalled.exchange(true)) {
+      const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (ran < 7 && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+      others_ran = ran == 7;
+    }
+    ++ran;
+  });
+  EXPECT_EQ(metrics.warps, 8u);
+  EXPECT_EQ(ran, 8u);
+  if (stalled) {
+    EXPECT_TRUE(others_ran);
+  }
+}
+
+TEST(Device, LaunchAfterWarpExceptionsInLaterWaves) {
+  // Exceptions in several SMs and waves: the lowest warp's is rethrown,
+  // and the device serves the next launch with exact counters.
+  Device dev(tiny_spec());
+  EXPECT_THROW(
+      {
+        try {
+          dev.launch(1000, [](WarpCtx& w) {
+            w.compute(full_mask(32));
+            if (w.warp_id() == 370 || w.warp_id() == 501 || w.warp_id() == 902) {
+              throw std::runtime_error("warp " + std::to_string(w.warp_id()));
+            }
+          });
+        } catch (const std::runtime_error& e) {
+          EXPECT_STREQ(e.what(), "warp 370");
+          throw;
+        }
+      },
+      std::runtime_error);
+  const auto metrics = dev.launch(64, [](WarpCtx& w) { w.compute(full_mask(32)); });
+  EXPECT_EQ(metrics.warps, 64u);
+  EXPECT_EQ(metrics.steps, 64u);
+  for (unsigned sm = 0; sm < 4; ++sm) EXPECT_EQ(metrics.sm_resident_warps[sm], 16u);
+}
+
+TEST(Device, OutOfRangeGatherThrowsOnCaller) {
+  Device dev(tiny_spec());
+  auto data = dev.memory().malloc<std::uint64_t>(8);
+  EXPECT_THROW(dev.launch(64,
+                          [&](WarpCtx& w) {
+                            std::array<std::uint64_t, 32> addrs{};
+                            std::array<std::uint64_t, 32> out{};
+                            addrs[0] = w.warp_id() == 45 ? (std::uint64_t{1} << 40)
+                                                         : data.element_addr(0);
+                            w.gather<std::uint64_t>(lane_bit(0), addrs, out);
+                          }),
+               ContractViolation);
+  const auto metrics = dev.launch(8, [&](WarpCtx& w) {
+    std::array<std::uint64_t, 32> addrs{};
+    std::array<std::uint64_t, 32> out{};
+    addrs[0] = data.element_addr(w.warp_id());
+    w.gather<std::uint64_t>(lane_bit(0), addrs, out);
+  });
+  EXPECT_EQ(metrics.loads, 8u);
 }
 
 TEST(DeviceSpecValidation, PresetsAreValid) {

@@ -73,6 +73,39 @@ TEST(Trace, ConstantAccessTagged) {
   EXPECT_EQ(dev.trace().events()[1].served_by, ServedBy::kConst);
 }
 
+TEST(Trace, EqualLatencyTieGoesToTheLaterLine) {
+  // With equal read-only and L2 latencies, an access whose two lines are
+  // served by those two levels reports the level of the later line (the
+  // higher address), whichever level that is.
+  DeviceSpec spec = tiny_spec();
+  spec.lat_l2 = spec.lat_readonly;
+  for (const bool later_in_l2 : {true, false}) {
+    Device dev(spec);
+    auto data = dev.memory().malloc<std::uint64_t>(64);
+    const std::uint64_t early = data.element_addr(0);
+    const std::uint64_t late = data.element_addr(16);  // the next 128 B line
+    // Warp 0 (SM 0) warms one line into its read-only cache; warp 1
+    // (SM 1) puts the other into the L2 only, as far as SM 0 can see.
+    dev.launch(2, [&](WarpCtx& w) {
+      std::array<std::uint64_t, 32> addrs{};
+      addrs[0] = (w.warp_id() == 0) == later_in_l2 ? early : late;
+      w.touch(lane_bit(0), addrs, 8);
+    });
+    dev.trace().enable();
+    dev.launch(1, [&](WarpCtx& w) {
+      std::array<std::uint64_t, 32> addrs{};
+      addrs[0] = early;
+      addrs[1] = late;
+      w.touch(full_mask(2), addrs, 8);
+    });
+    ASSERT_EQ(dev.trace().events().size(), 1u);
+    const TraceEvent& e = dev.trace().events()[0];
+    EXPECT_EQ(e.transactions, 2u);
+    EXPECT_EQ(e.served_by, later_in_l2 ? ServedBy::kL2 : ServedBy::kReadOnly);
+    EXPECT_EQ(e.cycles, spec.lat_readonly + spec.txn_issue_cycles);
+  }
+}
+
 TEST(Trace, CapacityBoundsAndCountsDropped) {
   Device dev(tiny_spec());
   dev.trace().enable(/*capacity=*/3);

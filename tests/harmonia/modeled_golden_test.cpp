@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 
 #include "harmonia/index.hpp"
@@ -112,6 +113,78 @@ TEST(ModeledGolden, ScanBatchCountersOnTitanV) {
   EXPECT_EQ(result.total_results, 8448u);
   expect_pinned(pin(result.metrics), {512, 4130, 2413, 6918, 4249, 13760, 5603, 4560, 2698, 899,
                                       16520, 1710260, 512, 240, 27452});
+}
+
+TEST(ModeledGolden, MultiWaveSearchCountersOnTitanV) {
+  // A batch large enough that the launch spans many waves of warps.
+  GoldenIndex g;
+  const auto qs = queries::make_queries(g.keys, 1 << 15, queries::Distribution::kUniform, 23);
+  const auto result = g.index.search(qs);  // PSA partial, NTG auto
+  EXPECT_EQ(result.search.warps, 4096u);
+  expect_pinned(pin(result.search.metrics), {4096, 95684, 53330, 103876, 22531, 132346, 14978,
+                                             30271, 79063, 8034, 382736, 11298936, 4096, 4936,
+                                             156540});
+}
+
+class Fnv {
+ public:
+  template <typename T>
+  void mix(const T& v) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &v, sizeof(T));
+    for (unsigned char b : bytes) h_ = (h_ ^ b) * 1099511628211ULL;
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 1469598103934665603ULL;
+};
+
+TEST(ModeledGolden, TraceEventsOfOverlaySearchOnTitanV) {
+  // Every trace event of a small search batch whose leaders first probe a
+  // delta overlay, in recorded order, plus the events dropped at the cap.
+  gpusim::Device dev{gpusim::titan_v()};
+  const auto keys = queries::make_tree_keys(1 << 12, 29);
+  std::vector<btree::Entry> entries;
+  for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
+  IndexOptions opts;
+  opts.fill_factor = 1.0;  // no gaps: fresh inserts land in the overlay
+  opts.overlay_capacity = 64;
+  auto index = HarmoniaIndex::build(dev, entries, opts);
+
+  std::vector<queries::UpdateOp> ops;
+  for (std::size_t i = 0; i < 24; ++i) {
+    ops.push_back({queries::OpKind::kInsert, keys[i * 97] + 1, 1000 + i});
+  }
+  ops.push_back({queries::OpKind::kDelete, keys[5], 0});
+  const auto pr = index.patch_update(ops);
+  ASSERT_EQ(pr.absorbed, ops.size());
+  index.commit_patch();
+  ASSERT_GT(index.overlay_size(), 0u);
+
+  auto qs = queries::make_queries(keys, 1000, queries::Distribution::kUniform, 31);
+  for (const auto& op : ops) qs.push_back(op.key);
+  QueryOptions qopts;
+  qopts.auto_ntg = false;
+  qopts.group_size = 4;
+  dev.trace().enable(/*capacity=*/6000);
+  const auto result = index.search(qs, qopts);
+  EXPECT_EQ(result.values[1000], 1000u);      // overlay hit
+  EXPECT_EQ(result.values.back(), kNotFound);  // tombstone
+
+  Fnv h;
+  for (const auto& e : dev.trace().events()) {
+    h.mix(e.warp);
+    h.mix(e.sm);
+    h.mix(static_cast<std::uint8_t>(e.kind));
+    h.mix(e.mask);
+    h.mix(e.transactions);
+    h.mix(static_cast<std::uint8_t>(e.served_by));
+    h.mix(e.cycles);
+  }
+  EXPECT_EQ(dev.trace().events().size(), 6000u);
+  EXPECT_EQ(dev.trace().dropped(), 1370u);
+  EXPECT_EQ(h.value(), 8455061889265400611u);
 }
 
 }  // namespace
