@@ -1,5 +1,7 @@
 #include "gpusim/memory.hpp"
 
+#include <algorithm>
+
 namespace harmonia::gpusim {
 
 namespace {
@@ -31,15 +33,26 @@ std::uint64_t Memory::alloc_bytes(std::uint64_t bytes, bool constant) {
                      "global segment overflow: need " << bytes << " B at offset " << base
                                                       << ", capacity " << global_capacity_);
   global_used_ = base + bytes;
-  if (global_.size() < global_used_) global_.resize(global_used_);
+  if (global_.size() < global_used_) {
+    // Grow the capacity geometrically. After free_all the size restarts
+    // small, so the vector's own growth would reallocate to an exact fit
+    // whenever the next image is a little larger than the last.
+    if (global_.capacity() < global_used_) {
+      global_.reserve(std::min(global_capacity_,
+                               std::max<std::uint64_t>(global_used_, 2 * global_.capacity())));
+    }
+    global_.resize(global_used_);
+  }
   return base;
 }
 
 void Memory::free_all() {
   global_used_ = kAlign;
   const_used_ = 0;
+  // The backing store keeps its capacity, so the next image regrows into
+  // memory already committed instead of through a reallocation cascade.
+  // resize() value-initializes what it adds: fresh allocations read zero.
   global_.clear();
-  global_.shrink_to_fit();
   global_.resize(kAlign);
 }
 

@@ -48,7 +48,9 @@ class Memory {
     return DevPtr<T>{alloc_bytes(count * sizeof(T), /*constant=*/true)};
   }
 
-  /// Releases everything allocated so far (both segments).
+  /// Releases everything allocated so far (both segments). The global
+  /// segment's host backing keeps its capacity for the next allocations,
+  /// which still read as zero.
   void free_all();
 
   template <typename T>

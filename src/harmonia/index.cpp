@@ -175,6 +175,7 @@ HarmoniaIndex::StagedUpdate HarmoniaIndex::stage_update(
   staged.updater =
       std::make_unique<BatchUpdater>(updater_->tree(), options_.fill_factor);
   staged.stats = staged.updater->apply(ops, threads);
+  staged.updater->drop_retired();  // a shadow applies one batch only
   return staged;
 }
 
@@ -231,19 +232,23 @@ HarmoniaIndex::PatchResult HarmoniaIndex::patch_update(
         if (shadowed) {
           // Upsert of a patched key, or an un-delete flipping a tombstone
           // back to a live entry (the stale base slot stays shadowed).
+          if (it->tombstone) note_pending_insert(op.key);
           it->value = op.value;
           it->tombstone = false;
           overlay_dirty_ = true;
           ++result.stats.inserts;
         } else {
           const std::uint32_t leaf = t.find_leaf(op.key);
+          const std::uint64_t keys_before = t.num_keys();
           if (t.leaf_insert_inplace(leaf, op.key, op.value)) {
+            if (t.num_keys() > keys_before) note_pending_insert(op.key);
             dirty_key_leaves_.insert(leaf);
             ++result.stats.inserts;
           } else if (overlay_.size() < options_.overlay_capacity) {
             // Leaf gaps exhausted: absorb into the overlay.
             overlay_.insert(it, OverlayEntry{op.key, op.value, false});
             overlay_dirty_ = true;
+            note_pending_insert(op.key);
             ++result.stats.inserts;
           } else {
             result.exhausted = true;  // needs a compaction epoch
@@ -338,6 +343,7 @@ void HarmoniaIndex::commit_patch() {
   dirty_key_leaves_.clear();
   dirty_value_leaves_.clear();
   overlay_dirty_ = false;
+  pending_inserts_.clear();
 }
 
 void HarmoniaIndex::discard_patch() {
@@ -365,6 +371,26 @@ TreeSnapshotExtras HarmoniaIndex::snapshot_extras() const {
     ex.overlay.push_back({e.key, e.value, static_cast<std::uint8_t>(e.tombstone ? 1 : 0)});
   }
   return ex;
+}
+
+void HarmoniaIndex::note_pending_insert(Key key) {
+  const auto it = std::lower_bound(pending_inserts_.begin(), pending_inserts_.end(), key);
+  if (it == pending_inserts_.end() || *it != key) pending_inserts_.insert(it, key);
+}
+
+std::size_t HarmoniaIndex::pending_insert_count(Key lo, Key hi) const {
+  if (lo > hi) return 0;
+  const auto first = std::lower_bound(pending_inserts_.begin(), pending_inserts_.end(), lo);
+  const auto last = std::upper_bound(first, pending_inserts_.end(), hi);
+  return static_cast<std::size_t>(last - first);
+}
+
+std::uint64_t HarmoniaIndex::served_key_floor() const {
+  // Every tombstone hides a key still in the base region; live overlay
+  // entries are left out, which only lowers the bound.
+  const std::uint64_t hidden = overlay_tombstone_count() + pending_inserts_.size();
+  const std::uint64_t base = tree().num_keys();
+  return base > hidden ? base - hidden : 0;
 }
 
 std::size_t HarmoniaIndex::overlay_live_count() const {
@@ -435,6 +461,7 @@ void HarmoniaIndex::sync_device() {
   // mirror (kept by fault-repair resyncs, emptied by commits) re-uploads
   // so patched keys survive the rebuild.
   discard_patch();
+  pending_inserts_.clear();
   upload_overlay();
   last_sync_seconds_ = timer.elapsed_seconds();
 }

@@ -185,6 +185,18 @@ class HarmoniaIndex {
   /// partial writes.
   void discard_patch();
 
+  /// Keys an uncommitted patch made visible in [lo, hi]: fresh inserts
+  /// (into a leaf gap or the overlay) and un-deletes. The host tree and
+  /// overlay mirror show them at once, the device image only once
+  /// commit_patch or a full resync lands them, so a host-side count minus
+  /// this is a lower bound on what the device serves.
+  std::size_t pending_insert_count(Key lo, Key hi) const;
+
+  /// A lower bound on the keys the device image serves: the base tree's
+  /// keys less the overlay tombstones hiding some of them and less every
+  /// pending insert.
+  std::uint64_t served_key_floor() const;
+
   bool patch_pending() const {
     return !dirty_key_leaves_.empty() || !dirty_value_leaves_.empty() ||
            overlay_dirty_;
@@ -270,6 +282,7 @@ class HarmoniaIndex {
   /// (Re)allocates the device overlay arrays and uploads the mirror.
   void upload_overlay();
   std::vector<OverlayEntry>::iterator overlay_find(Key key);
+  void note_pending_insert(Key key);
   std::uint64_t pending_patch_bytes() const;
 
   gpusim::Device& device_;
@@ -290,6 +303,11 @@ class HarmoniaIndex {
   std::set<std::uint32_t> dirty_key_leaves_;
   std::set<std::uint32_t> dirty_value_leaves_;
   bool overlay_dirty_ = false;
+  /// Sorted keys made visible by patches the device does not serve yet
+  /// (see pending_insert_count). Unlike the queued writes, a discarded
+  /// patch keeps them: the device still serves the old image until the
+  /// compaction that carries them is committed.
+  std::vector<Key> pending_inserts_;
 };
 
 }  // namespace harmonia

@@ -135,40 +135,49 @@ HarmoniaTree HarmoniaTree::from_btree(const btree::BTree& tree) {
   return out;
 }
 
-HarmoniaTree HarmoniaTree::from_leaves(std::vector<std::vector<btree::Entry>> leaves,
-                                       unsigned fanout) {
+namespace {
+
+/// Refills `v` with `n` copies of `fill` inside its existing capacity.
+/// When it must grow, it reserves half again as much: a tree that grows
+/// batch by batch then refills the same pages for several rebuilds
+/// instead of faulting in fresh ones each time.
+template <typename T>
+void refill(std::vector<T>& v, std::size_t n, T fill) {
+  if (v.capacity() < n) {
+    v = std::vector<T>();
+    v.reserve(n + n / 2);
+  }
+  v.assign(n, fill);
+}
+
+}  // namespace
+
+HarmoniaTree HarmoniaTree::with_leaf_level(std::span<const Key> leaf_min, unsigned fanout,
+                                           HarmoniaTree storage) {
   HARMONIA_CHECK(fanout >= 4);
-  HARMONIA_CHECK(!leaves.empty());
+  HARMONIA_CHECK(!leaf_min.empty());
   const unsigned kpn = fanout - 1;
 
-  // Build the level structure bottom-up: per level, each node's min key
-  // and child count. Level 0 of `shape` is the leaf level (reversed later).
-  struct NodeShape {
-    Key min_key;
-    std::uint32_t children;  // 0 for leaves
+  // Internal levels bottom-up: each node's min key and child count.
+  // parents[0] groups the leaves; the last level holds the root.
+  struct Level {
+    std::vector<Key> min_key;
+    std::vector<std::uint32_t> children;
   };
-  std::vector<std::vector<NodeShape>> shape;  // bottom-up
-  std::vector<NodeShape> current;
-  current.reserve(leaves.size());
-  std::uint64_t num_keys = 0;
-  for (const auto& leaf : leaves) {
-    HARMONIA_CHECK_MSG(!leaf.empty(), "empty leaf in from_leaves");
-    HARMONIA_CHECK_MSG(leaf.size() <= kpn, "overfull leaf in from_leaves");
-    current.push_back({leaf.front().key, 0});
-    num_keys += leaf.size();
-  }
-  shape.push_back(current);
-
+  std::vector<Level> parents;
   // Group children into parents, target occupancy ~ the bulk-load default.
   const auto target_children =
       std::clamp<std::size_t>(static_cast<std::size_t>(std::lround(fanout * 0.69)), 2, fanout);
-  while (shape.back().size() > 1) {
-    const auto& child_level = shape.back();
-    std::vector<NodeShape> parents;
+  const auto level_mins = [&](std::size_t i) {
+    return i == 0 ? leaf_min : std::span<const Key>(parents[i - 1].min_key);
+  };
+  while (level_mins(parents.size()).size() > 1) {
+    const std::span<const Key> child_min = level_mins(parents.size());
+    Level up;
     std::size_t i = 0;
-    while (i < child_level.size()) {
-      std::size_t take = std::min(target_children, child_level.size() - i);
-      const std::size_t rest = child_level.size() - i - take;
+    while (i < child_min.size()) {
+      std::size_t take = std::min(target_children, child_min.size() - i);
+      const std::size_t rest = child_min.size() - i - take;
       if (rest > 0 && rest < 2) {
         // No singleton tail node: absorb it if the node has room,
         // otherwise split the remainder evenly.
@@ -178,54 +187,74 @@ HarmoniaTree HarmoniaTree::from_leaves(std::vector<std::vector<btree::Entry>> le
           take = (take + rest + 1) / 2;
         }
       }
-      parents.push_back({child_level[i].min_key, static_cast<std::uint32_t>(take)});
+      up.min_key.push_back(child_min[i]);
+      up.children.push_back(static_cast<std::uint32_t>(take));
       i += take;
     }
-    shape.push_back(std::move(parents));
+    parents.push_back(std::move(up));
   }
-  std::reverse(shape.begin(), shape.end());  // now top-down
 
-  HarmoniaTree out;
+  HarmoniaTree out = std::move(storage);
   out.fanout_ = fanout;
-  out.num_keys_ = num_keys;
+  out.level_start_.clear();
   std::uint32_t total = 0;
-  for (const auto& level : shape) {
+  for (std::size_t lvl = parents.size(); lvl > 0; --lvl) {
     out.level_start_.push_back(total);
-    total += static_cast<std::uint32_t>(level.size());
+    total += static_cast<std::uint32_t>(parents[lvl - 1].children.size());
   }
+  out.level_start_.push_back(total);
+  total += static_cast<std::uint32_t>(leaf_min.size());
   out.num_nodes_ = total;
   out.first_leaf_ = out.level_start_.back();
 
-  out.key_region_.assign(static_cast<std::size_t>(total) * kpn, kPadKey);
-  out.prefix_sum_.assign(total + 1, total);
-  out.value_region_.assign(static_cast<std::size_t>(leaves.size()) * kpn, Value{0});
+  refill(out.key_region_, static_cast<std::size_t>(total) * kpn, kPadKey);
+  refill(out.prefix_sum_, std::size_t{total} + 1, total);
+  refill(out.value_region_, leaf_min.size() * kpn, Value{0});
 
-  // Internal nodes: separators are the min keys of children 1..n-1.
+  // Internal nodes, top-down in BFS order: separators are the min keys of
+  // children 1..n-1.
   std::uint32_t bfs = 0;
   std::uint32_t next_child = 1;
-  for (std::size_t lvl = 0; lvl + 1 < shape.size(); ++lvl) {
-    // Track each node's first child position within the next level.
-    std::size_t child_pos = 0;
-    const auto& next_level = shape[lvl + 1];
-    for (const NodeShape& node : shape[lvl]) {
+  for (std::size_t lvl = parents.size(); lvl > 0; --lvl) {
+    const std::span<const Key> child_min = level_mins(lvl - 1);
+    std::size_t child_pos = 0;  // each node's first child within child_min
+    for (const std::uint32_t children : parents[lvl - 1].children) {
       Key* slots = out.key_region_.data() + static_cast<std::size_t>(bfs) * kpn;
-      for (std::uint32_t c = 1; c < node.children; ++c) {
-        slots[c - 1] = next_level[child_pos + c].min_key;
+      for (std::uint32_t c = 1; c < children; ++c) {
+        slots[c - 1] = child_min[child_pos + c];
       }
       out.prefix_sum_[bfs] = next_child;
-      next_child += node.children;
-      child_pos += node.children;
+      next_child += children;
+      child_pos += children;
       ++bfs;
     }
-    HARMONIA_CHECK(child_pos == next_level.size());
+    HARMONIA_CHECK(child_pos == child_min.size());
+  }
+  HARMONIA_CHECK(next_child == total || parents.empty());
+  return out;
+}
+
+HarmoniaTree HarmoniaTree::from_leaves(std::vector<std::vector<btree::Entry>> leaves,
+                                       unsigned fanout) {
+  HARMONIA_CHECK(fanout >= 4);
+  const unsigned kpn = fanout - 1;
+  std::vector<Key> leaf_min;
+  leaf_min.reserve(leaves.size());
+  std::uint64_t num_keys = 0;
+  for (const auto& leaf : leaves) {
+    HARMONIA_CHECK_MSG(!leaf.empty(), "empty leaf in from_leaves");
+    HARMONIA_CHECK_MSG(leaf.size() <= kpn, "overfull leaf in from_leaves");
+    leaf_min.push_back(leaf.front().key);
+    num_keys += leaf.size();
   }
 
-  // Leaf level: copy keys and values.
+  HarmoniaTree out = with_leaf_level(leaf_min, fanout, HarmoniaTree());
+  out.num_keys_ = num_keys;
   Key prev = 0;
   bool have_prev = false;
   for (std::size_t l = 0; l < leaves.size(); ++l) {
     Key* slots = out.key_region_.data() + (static_cast<std::size_t>(out.first_leaf_) + l) * kpn;
-    Value* vals = out.value_region_.data() + static_cast<std::size_t>(l) * kpn;
+    Value* vals = out.value_region_.data() + l * kpn;
     for (std::size_t s = 0; s < leaves[l].size(); ++s) {
       HARMONIA_CHECK_MSG(!have_prev || leaves[l][s].key > prev,
                          "from_leaves input not globally ascending");
@@ -235,7 +264,6 @@ HarmoniaTree HarmoniaTree::from_leaves(std::vector<std::vector<btree::Entry>> le
       vals[s] = leaves[l][s].value;
     }
   }
-  HARMONIA_CHECK(next_child == total || shape.size() == 1);
   return out;
 }
 
@@ -305,10 +333,11 @@ bool HarmoniaTree::leaf_erase_inplace(std::uint32_t leaf, Key key) {
 std::vector<btree::Entry> HarmoniaTree::leaf_entries(std::uint32_t leaf) const {
   HARMONIA_CHECK(is_leaf(leaf));
   const auto keys = node_keys(leaf);
+  const Value* vals = value_region_.data() + value_slot(leaf, 0);
+  const unsigned count = node_key_count(leaf);
   std::vector<btree::Entry> out;
-  for (unsigned s = 0; s < node_key_count(leaf); ++s) {
-    out.push_back({keys[s], value_region_[value_slot(leaf, s)]});
-  }
+  out.reserve(count);
+  for (unsigned s = 0; s < count; ++s) out.push_back({keys[s], vals[s]});
   return out;
 }
 
@@ -489,6 +518,11 @@ void HarmoniaTree::validate() const {
     if (is_leaf(n)) {
       HARMONIA_CHECK_MSG(child_count(n) == 0, "leaf with children");
       HARMONIA_CHECK_MSG(count > 0, "empty leaf node");
+      // Pad slots carry zero values, so a leaf record moves as a whole.
+      for (unsigned s = count; s < kpn; ++s) {
+        HARMONIA_CHECK_MSG(value_region_[value_slot(n, s)] == Value{0},
+                           "pad slot with a nonzero value");
+      }
       leaf_keys += count;
     } else {
       HARMONIA_CHECK_MSG(child_count(n) == count + 1, "internal children != keys + 1");

@@ -61,7 +61,8 @@ class HarmoniaTree {
 
   /// Builds directly from leaf-level contents: `leaves[i]` holds one leaf's
   /// (key, value) entries (sorted, non-empty, globally ascending). Internal
-  /// levels are derived. Used by the batch updater's post-batch rebuild.
+  /// levels are derived the same way the batch updater's post-batch
+  /// rebuild derives them.
   static HarmoniaTree from_leaves(std::vector<std::vector<btree::Entry>> leaves,
                                   unsigned fanout);
 
@@ -134,7 +135,20 @@ class HarmoniaTree {
   static HarmoniaTree load(std::istream& is, TreeSnapshotExtras* extras = nullptr);
 
  private:
+  /// The deferred movement writes the rebuilt leaf level in place.
+  friend class BatchUpdater;
+
   HarmoniaTree() = default;
+
+  /// The one shape builder: sizes every region for `leaf_min.size()`
+  /// leaves (leaf_min[i] = leaf i's smallest key), derives the internal
+  /// levels — separators and prefix sums — from those min keys, and leaves
+  /// the leaf level padded (kPadKey keys, zero values) for the caller to
+  /// fill. The caller also sets num_keys_. The regions are built in
+  /// `storage`'s buffers (a retired tree's, or none), reusing their
+  /// capacity; its contents are discarded.
+  static HarmoniaTree with_leaf_level(std::span<const Key> leaf_min, unsigned fanout,
+                                      HarmoniaTree storage);
 
   unsigned fanout_ = 0;
   std::uint32_t num_nodes_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <thread>
+#include <utility>
 
 #include "common/expect.hpp"
 #include "common/timer.hpp"
@@ -225,35 +226,79 @@ UpdateStats BatchUpdater::apply(std::span<const UpdateOp> ops, unsigned threads)
 }
 
 void BatchUpdater::rebuild(UpdateStats& stats) {
-  const unsigned kpn = tree_.keys_per_node();
+  const HarmoniaTree& old = tree_;
+  const unsigned kpn = old.keys_per_node();
   const auto target = std::clamp<std::size_t>(
       static_cast<std::size_t>(std::lround(static_cast<double>(kpn) * rebuild_fill_)),
       1, kpn);
+  HARMONIA_CHECK_MSG(target <= kpn, "overfull leaf in rebuild");  // aux chunks fit a node
+  const std::uint32_t old_leaves = old.num_leaves();
+  const Key* old_keys = old.key_region().data() + std::size_t{old.first_leaf_index()} * kpn;
+  const Value* old_vals = old.value_region().data();
 
-  std::vector<std::vector<btree::Entry>> leaves;
-  leaves.reserve(tree_.num_leaves());
-  std::uint32_t first_changed = tree_.num_leaves();
-  for (std::uint32_t li = 0; li < tree_.num_leaves(); ++li) {
+  // Pass 1: the new leaf level's min keys and key count. An unchanged leaf
+  // becomes one leaf; an auxiliary node is chunked into target-fill leaves
+  // (a split yields two or more; a merged-away leaf yields none).
+  std::vector<Key> leaf_min;
+  leaf_min.reserve(old_leaves + old_leaves / 8);
+  std::uint64_t num_keys = 0;
+  std::uint32_t first_changed = old_leaves;
+  Key prev = 0;
+  bool have_prev = false;
+  const auto ascending = [&](Key k) {
+    HARMONIA_CHECK_MSG(!have_prev || k > prev, "rebuilt leaf level not globally ascending");
+    prev = k;
+    have_prev = true;
+  };
+  for (std::uint32_t li = 0; li < old_leaves; ++li) {
     if (aux_[li]) {
       first_changed = std::min(first_changed, li);
       ++stats.aux_nodes;
-      // Chunk the auxiliary node into target-fill leaves (a split yields
-      // two or more; a merged-away leaf yields none).
       const auto& entries = aux_[li]->entries;
-      std::size_t i = 0;
-      while (i < entries.size()) {
-        const std::size_t take = std::min(target, entries.size() - i);
-        leaves.emplace_back(entries.begin() + static_cast<std::ptrdiff_t>(i),
-                            entries.begin() + static_cast<std::ptrdiff_t>(i + take));
-        i += take;
+      for (std::size_t i = 0; i < entries.size(); i += target) {
+        leaf_min.push_back(entries[i].key);
       }
+      for (const btree::Entry& e : entries) ascending(e.key);
+      num_keys += entries.size();
     } else {
-      leaves.push_back(tree_.leaf_entries(tree_.first_leaf_index() + li));
+      const Key* slots = old_keys + std::size_t{li} * kpn;
+      unsigned count = 0;
+      while (count < kpn && slots[count] != kPadKey) ascending(slots[count++]);
+      HARMONIA_CHECK_MSG(count > 0, "empty leaf in rebuild");
+      leaf_min.push_back(slots[0]);
+      num_keys += count;
     }
   }
-  HARMONIA_CHECK_MSG(!leaves.empty(), "batch removed every key from the tree");
+  HARMONIA_CHECK_MSG(!leaf_min.empty(), "batch removed every key from the tree");
 
-  HarmoniaTree rebuilt = HarmoniaTree::from_leaves(std::move(leaves), tree_.fanout());
+  // Pass 2: write the leaf level straight into the new regions. Unchanged
+  // leaves move as whole kpn-slot records (their kPadKey / zero-value
+  // tails are already what the new region holds); aux chunks slot by slot.
+  HarmoniaTree rebuilt =
+      HarmoniaTree::with_leaf_level(leaf_min, old.fanout(), std::move(retired_));
+  rebuilt.num_keys_ = num_keys;
+  Key* keys = rebuilt.key_region_.data() + std::size_t{rebuilt.first_leaf_} * kpn;
+  Value* vals = rebuilt.value_region_.data();
+  for (std::uint32_t li = 0; li < old_leaves; ++li) {
+    if (aux_[li]) {
+      const auto& entries = aux_[li]->entries;
+      for (std::size_t i = 0; i < entries.size(); i += target) {
+        const std::size_t take = std::min(target, entries.size() - i);
+        for (std::size_t s = 0; s < take; ++s) {
+          keys[s] = entries[i + s].key;
+          vals[s] = entries[i + s].value;
+        }
+        keys += kpn;
+        vals += kpn;
+      }
+    } else {
+      const std::size_t base = std::size_t{li} * kpn;
+      std::copy_n(old_keys + base, kpn, keys);
+      std::copy_n(old_vals + base, kpn, vals);
+      keys += kpn;
+      vals += kpn;
+    }
+  }
 
   // Deferred-movement accounting: everything from the first structurally
   // changed leaf onward moves, plus all internal nodes (their prefix-sum
@@ -265,7 +310,14 @@ void BatchUpdater::rebuild(UpdateStats& stats) {
           unchanged, static_cast<std::uint64_t>(rebuilt.num_nodes()) * kpn);
   stats.rebuilt = true;
 
-  tree_ = std::move(rebuilt);
+  // The old regions become the next rebuild's buffers: refilling pages
+  // already mapped beats freeing them and faulting in fresh ones.
+  retired_ = std::exchange(tree_, std::move(rebuilt));
+#ifndef NDEBUG
+  // The structural invariant at the rebuild boundary, checked wherever
+  // HARMONIA_DCHECK is on.
+  tree_.validate();
+#endif
   aux_.clear();
   aux_.resize(tree_.num_leaves());
   fine_ = std::make_unique<std::mutex[]>(tree_.num_leaves());

@@ -13,7 +13,9 @@
 // Internal levels of the key region are never touched during a batch, so
 // leaf routing needs no locks. After the batch, the deferred movement
 // rebuilds the key region / prefix-sum array from the surviving leaves and
-// the auxiliary nodes in one pass.
+// the auxiliary nodes in two linear passes: one collects the new leaves'
+// min keys (from which the internal levels derive), one writes the leaf
+// level straight into the new regions.
 #pragma once
 
 #include <cstdint>
@@ -81,6 +83,11 @@ class BatchUpdater {
   /// timing. Returns statistics.
   UpdateStats apply(std::span<const queries::UpdateOp> ops, unsigned threads = 1);
 
+  /// The deferred movement builds each new tree in the buffers of the
+  /// tree it replaced the time before, so a repeatedly applying updater
+  /// holds two trees. One that applies no further batch frees the spare.
+  void drop_retired() { retired_ = HarmoniaTree(); }
+
  private:
   /// A leaf whose structure changed (split/merge pending); holds the
   /// leaf's full contents, sorted. Empty = every key deleted (merge).
@@ -99,6 +106,8 @@ class BatchUpdater {
   void rebuild(UpdateStats& stats);
 
   HarmoniaTree tree_;
+  /// The tree the last rebuild replaced, kept only for its buffers.
+  HarmoniaTree retired_;
   double rebuild_fill_ = 0.69;
   std::vector<std::unique_ptr<AuxNode>> aux_;  // indexed by leaf ordinal
   std::unique_ptr<std::mutex[]> fine_;

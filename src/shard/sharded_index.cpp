@@ -261,18 +261,27 @@ ShardedIndex::RangeResult ShardedIndex::range(std::span<const Key> los,
 }
 
 unsigned ShardedIndex::scan_end_shard(Key lo, std::uint32_t n) const {
+  // Coverage is counted on the host, which runs ahead of the device
+  // images while a delta epoch is in flight: patch_update changes the
+  // host tree and overlay at once, the device serves the change only from
+  // commit_patch on. So every count is a lower bound on what the devices
+  // serve — keys a pending patch made visible are discounted — and the
+  // fan-out never stops short. Reaching a shard too many is harmless:
+  // the merge truncates.
   const std::uint32_t want = std::max<std::uint32_t>(n, 1);
   unsigned s = plan_.shard_of(lo);
   std::uint64_t have = 0;
-  if (shards_[s].index != nullptr) {
-    have = shards_[s]
-               .index
-               ->range_host(std::max(lo, plan_.lo(s)), plan_.hi(s), want)
-               .size();
+  if (const HarmoniaIndex* idx = shards_[s].index.get()) {
+    const Key from = std::max(lo, plan_.lo(s));
+    const auto part = idx->range_host(from, plan_.hi(s), want);
+    if (!part.empty()) {
+      const std::size_t pending = idx->pending_insert_count(from, part.back().key);
+      have = part.size() > pending ? part.size() - pending : 0;
+    }
   }
   while (have < want && s + 1 < num_shards()) {
     ++s;
-    have += shard_key_count(s);
+    if (const HarmoniaIndex* idx = shards_[s].index.get()) have += idx->served_key_floor();
   }
   return s;
 }

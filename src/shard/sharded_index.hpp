@@ -138,8 +138,10 @@ class ShardedIndex {
   /// The last shard a scan of `n` results starting at `lo` can touch:
   /// extends from shard_of(lo) — whose contribution is host-counted, cost
   /// bounded by n — through whole-shard key counts until coverage >= n
-  /// (or the last shard). The serving fan-out and the version fence both
-  /// key off this span.
+  /// (or the last shard). Counts are lower bounds on what the device
+  /// images serve (HarmoniaIndex::pending_insert_count,
+  /// served_key_floor), so an uncommitted delta patch cannot shorten the
+  /// span. The serving fan-out and the version fence both key off it.
   unsigned scan_end_shard(Key lo, std::uint32_t n) const;
 
   /// Host-side scan oracle: first `n` entries with key >= lo, across

@@ -73,6 +73,30 @@ TEST(Memory, FreeAllResets) {
   EXPECT_EQ(mem.const_used(), 0u);
 }
 
+TEST(Memory, FreeAllReusesCapacityAndFreshAllocationsReadZero) {
+  Memory mem(1 << 20, 64 << 10);
+  auto a = mem.malloc<std::uint64_t>(4096);
+  const std::vector<std::uint64_t> junk(4096, ~std::uint64_t{0});
+  mem.copy_to_device(a, std::span<const std::uint64_t>(junk));
+  const std::uint64_t used = mem.global_used();
+
+  mem.free_all();
+  EXPECT_EQ(mem.global_used(), 256u);  // only the null unit stays burnt
+  // A smaller and then a larger allocation over the bytes `a` held: every
+  // element reads zero, none of the old data shows through.
+  auto b = mem.malloc<std::uint64_t>(100);
+  auto c = mem.malloc<std::uint64_t>(4096);
+  EXPECT_EQ(b.addr, a.addr);
+  EXPECT_GE(mem.global_used(), used);
+  for (std::uint64_t i = 0; i < 100; ++i) ASSERT_EQ(mem.read<std::uint64_t>(b.element_addr(i)), 0u);
+  std::vector<std::uint64_t> out(4096, 1);
+  mem.copy_to_host(std::span<std::uint64_t>(out), c);
+  EXPECT_EQ(out, std::vector<std::uint64_t>(4096, 0));
+  // Past the live allocations stays out of bounds after the reset.
+  std::uint64_t word;
+  EXPECT_THROW(mem.read_bytes(mem.global_used() + 4096, &word, sizeof word), ContractViolation);
+}
+
 TEST(Memory, ElementAddressArithmetic) {
   DevPtr<std::uint64_t> p{1024};
   EXPECT_EQ(p.element_addr(0), 1024u);

@@ -202,6 +202,18 @@ TEST(HarmoniaTree, LeafInplaceInsertFullReturnsFalse) {
   EXPECT_FALSE(tree.leaf_insert_inplace(leaf, missing[0], 1));
 }
 
+TEST(HarmoniaTree, LeafEntriesOfFullLeaf) {
+  const auto tree = small_tree(300, 8, 1.0, 11);  // fill 1.0: all leaves full
+  const std::uint32_t leaf = tree.first_leaf_index();
+  ASSERT_EQ(tree.node_key_count(leaf), tree.keys_per_node());
+  const auto entries = tree.leaf_entries(leaf);
+  ASSERT_EQ(entries.size(), tree.keys_per_node());
+  for (unsigned s = 0; s < entries.size(); ++s) {
+    EXPECT_EQ(entries[s].key, tree.node_keys(leaf)[s]);
+    EXPECT_EQ(entries[s].value, btree::value_for_key(entries[s].key));
+  }
+}
+
 TEST(HarmoniaTree, SearchRejectsReservedKey) {
   const auto tree = small_tree(100, 8);
   EXPECT_FALSE(tree.search(kPadKey).has_value());

@@ -153,6 +153,58 @@ TEST(ShardScan, ScanEndShardCoversRequestedCount) {
   }
 }
 
+// A delta patch changes the host tree and overlay at once but reaches the
+// devices only at commit_patch. Pending inserts just below a boundary
+// must not make the fan-out stop short: the scan is served from the
+// committed images, so it needs the next shard's keys to return n values.
+// Once committed, the same scans return the patched keys.
+TEST(ShardScan, PendingPatchInsertsDoNotShortenScans) {
+  // Leaf gaps take the inserts in place; full leaves send them to the
+  // overlay.
+  for (const double fill : {0.69, 1.0}) {
+    SCOPED_TRACE(testing::Message() << "fill " << fill);
+    std::vector<btree::Entry> entries;
+    for (Key k = 10; k <= 2000; k += 10) entries.push_back({k, btree::value_for_key(k)});
+    ShardedOptions options = small_options(8);
+    options.index.fill_factor = fill;
+    options.index.overlay_capacity = 16;
+    // Shard 1 holds the ten keys 1000..1090.
+    ShardedIndex sharded(entries, ShardPlan::from_bounds({0, 1000, 1100}), options);
+
+    const auto scan = [&](Key lo, std::uint32_t n) {
+      const std::vector<Key> los{lo};
+      const std::vector<std::uint32_t> ns{n};
+      return sharded.scan(los, ns).values.at(0);
+    };
+    const auto values_of = [](std::initializer_list<Key> keys) {
+      std::vector<Value> v;
+      for (Key k : keys) v.push_back(k == 995 || k == 1005 ? 7 : btree::value_for_key(k));
+      return v;
+    };
+
+    for (unsigned s : {0u, 1u}) {
+      const Key key = s == 0 ? 995 : 1005;
+      const auto pr = sharded.shard(s)->patch_update(
+          std::vector<queries::UpdateOp>{{queries::OpKind::kInsert, key, 7}});
+      ASSERT_EQ(pr.absorbed, 1u);
+      ASSERT_EQ(sharded.shard(s)->pending_insert_count(key, key), 1u);
+    }
+
+    // Committed view: 980 990 | 1000 .. 1090 | 1100 ...
+    EXPECT_EQ(scan(980, 3), values_of({980, 990, 1000}));
+    EXPECT_EQ(scan(980, 14), values_of({980, 990, 1000, 1010, 1020, 1030, 1040, 1050,
+                                        1060, 1070, 1080, 1090, 1100, 1110}));
+
+    for (unsigned s : {0u, 1u}) {
+      sharded.shard(s)->commit_patch();
+      EXPECT_EQ(sharded.shard(s)->pending_insert_count(0, kPadKey), 0u);
+    }
+    EXPECT_EQ(scan(980, 3), values_of({980, 990, 995}));
+    EXPECT_EQ(scan(980, 14), values_of({980, 990, 995, 1000, 1005, 1010, 1020, 1030,
+                                        1040, 1050, 1060, 1070, 1080, 1090}));
+  }
+}
+
 /// Mirrors BatchUpdater semantics on a std::map (as in shard_swap_test).
 void apply_to_oracle(std::map<Key, Value>& oracle, const serve::Request& r) {
   switch (r.op) {
