@@ -215,8 +215,11 @@ int main(int argc, char** argv) {
       const auto scores = score_phases(rep, edges);
       for (std::size_t p = 0; p < kPhases.size(); ++p)
         best[p] = std::max(best[p], scores[p].completed);
-      add_rows("b" + std::to_string(b) + "/w" + std::to_string(w) + "us",
-               scores);
+      // Appended piecewise: GCC 12's -Wrestrict misfires on
+      // "literal" + std::string&& (GCC bug 105329).
+      std::string label = "b";
+      label += std::to_string(b) + "/w" + std::to_string(w) + "us";
+      add_rows(label, scores);
     }
   }
 

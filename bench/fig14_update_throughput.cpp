@@ -1,10 +1,28 @@
 // Figure 14: batch update throughput (million ops/second), Harmonia's
 // CPU-side Algorithm 1 + deferred movement vs HB+Tree's CPU batch update,
 // for a 5% insert / 95% update mix (paper batch: 4096K ops).
+//
+// One batch is one wall-clock sample of a few hundred milliseconds, so a
+// single run swings with whatever else the host is doing. Each cell runs
+// kRepetitions times, each time on freshly built indexes, and reports the
+// medians.
+#include <algorithm>
+
 #include "bench_common.hpp"
 
 namespace hb = harmonia::bench;
 using namespace harmonia;
+
+namespace {
+
+constexpr int kRepetitions = 5;
+
+double median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  return xs[xs.size() / 2];
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   Cli cli;
@@ -40,23 +58,32 @@ int main(int argc, char** argv) {
     spec.seed = cfg.seed + 2;
     const auto ops = queries::make_update_batch(keys, spec);
 
-    gpusim::Device dev_b(hb::bench_spec());
-    auto hb_idx = hbtree::HBTreeIndex::build(dev_b, entries, cfg.fanout, cfg.fill);
-    const auto hb_stats = hb_idx.update_batch(ops);
-    const double hb_tp = hb_stats.ops_per_second();
+    // The two systems alternate within a repetition, so drift on the
+    // host reaches both columns alike; the ratio is the median of the
+    // per-repetition ratios.
+    std::vector<double> hb_tp, h_tp, ratio;
+    UpdateStats h_stats;
+    for (int rep = 0; rep < kRepetitions; ++rep) {
+      gpusim::Device dev_b(hb::bench_spec());
+      auto hb_idx = hbtree::HBTreeIndex::build(dev_b, entries, cfg.fanout, cfg.fill);
+      hb_tp.push_back(hb_idx.update_batch(ops).ops_per_second());
 
-    gpusim::Device dev_h(hb::bench_spec());
-    auto h_idx = HarmoniaIndex::build(dev_h, entries,
-                                      {.fanout = cfg.fanout, .fill_factor = cfg.fill});
-    const auto h_stats = h_idx.update_batch(ops, threads);
-    const double h_tp =
-        static_cast<double>(h_stats.total_ops()) /
-        (h_stats.apply_seconds + h_stats.rebuild_seconds + h_idx.last_sync_seconds());
+      gpusim::Device dev_h(hb::bench_spec());
+      auto h_idx = HarmoniaIndex::build(dev_h, entries,
+                                        {.fanout = cfg.fanout, .fill_factor = cfg.fill});
+      h_stats = h_idx.update_batch(ops, threads);
+      h_tp.push_back(
+          static_cast<double>(h_stats.total_ops()) /
+          (h_stats.apply_seconds + h_stats.rebuild_seconds + h_idx.last_sync_seconds()));
+      ratio.push_back(h_tp.back() / hb_tp.back());
+    }
 
-    table.add(lg, hb_tp / 1e6, h_tp / 1e6, 100.0 * h_tp / hb_tp,
+    // aux nodes and moved slots are the same in every repetition.
+    table.add(lg, median(hb_tp) / 1e6, median(h_tp) / 1e6, 100.0 * median(ratio),
               h_stats.aux_nodes, h_stats.moved_slots);
   }
   hb::emit(cli, table);
-  std::cout << "\npaper: Harmonia achieves ~70% of HB+Tree's update throughput\n";
+  std::cout << "\nmedians of " << kRepetitions << " repetitions, each on fresh indexes\n"
+            << "paper: Harmonia achieves ~70% of HB+Tree's update throughput\n";
   return 0;
 }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/expect.hpp"
+#include "common/uninit_vector.hpp"
 
 namespace harmonia::gpusim {
 
@@ -32,25 +33,38 @@ struct DevPtr {
   DevPtr<T> offset(std::uint64_t i) const { return DevPtr<T>{element_addr(i)}; }
 };
 
+/// Zeroing contract: every byte below global_used() / const_used() was
+/// either written by an upload or copy, or zeroed by the allocation that
+/// covered it (malloc bodies and every alignment gap). Device memory never
+/// holds indeterminate bytes, and each byte an upload covers is written
+/// once.
 class Memory {
  public:
   Memory(std::uint64_t global_bytes, std::uint64_t const_bytes);
 
   /// Bump-allocates `count` elements in global memory, 256 B aligned.
+  /// The allocation reads zero.
   template <typename T>
   DevPtr<T> malloc(std::uint64_t count) {
     return DevPtr<T>{alloc_bytes(count * sizeof(T), /*constant=*/false)};
   }
 
   /// Allocates in the (small) constant segment; throws if it does not fit.
+  /// The allocation reads zero.
   template <typename T>
   DevPtr<T> const_malloc(std::uint64_t count) {
     return DevPtr<T>{alloc_bytes(count * sizeof(T), /*constant=*/true)};
   }
 
+  /// Allocates `src.size()` elements in global memory (as malloc) and
+  /// copies `src` into them, without zeroing the bytes it overwrites.
+  template <typename T>
+  DevPtr<T> upload(std::span<const T> src) {
+    return DevPtr<T>{upload_bytes(src.data(), src.size_bytes())};
+  }
+
   /// Releases everything allocated so far (both segments). The global
-  /// segment's host backing keeps its capacity for the next allocations,
-  /// which still read as zero.
+  /// segment's host backing keeps its capacity for the next allocations.
   void free_all();
 
   template <typename T>
@@ -95,7 +109,11 @@ class Memory {
   void write_bytes(std::uint64_t addr, const void* in, std::size_t n);
 
  private:
+  /// Reserves `bytes` (> 0) in a segment and zeroes the alignment gap in
+  /// front of them; the reserved bytes themselves are left for the caller.
+  std::uint64_t reserve_bytes(std::uint64_t bytes, bool constant);
   std::uint64_t alloc_bytes(std::uint64_t bytes, bool constant);
+  std::uint64_t upload_bytes(const void* src, std::uint64_t bytes);
 
   /// [addr, addr + n) lies in the committed global segment. Constant
   /// addresses never do: they sit above every global allocation.
@@ -105,8 +123,9 @@ class Memory {
 
   /// Host backing store for the global segment grows on demand (the
   /// simulated device "has" global_capacity_ bytes, but the host only
-  /// commits what allocations actually touch).
-  std::vector<std::uint8_t> global_;
+  /// commits what allocations actually touch). Growth does not zero:
+  /// reserve_bytes' callers write every byte they reserve.
+  UninitVector<std::uint8_t> global_;
   std::vector<std::uint8_t> const_;
   std::uint64_t global_capacity_ = 0;
   std::uint64_t global_used_ = 0;

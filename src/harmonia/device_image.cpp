@@ -15,16 +15,10 @@ HarmoniaDeviceImage HarmoniaDeviceImage::upload(gpusim::Device& device,
 
   auto& mem = device.memory();
 
-  img.key_region = mem.malloc<Key>(tree.key_region().size());
-  mem.copy_to_device(img.key_region, tree.key_region());
-
-  if (!tree.value_region().empty()) {
-    img.value_region = mem.malloc<Value>(tree.value_region().size());
-    mem.copy_to_device(img.value_region, tree.value_region());
-  }
-
-  img.ps_global = mem.malloc<std::uint32_t>(tree.prefix_sum().size());
-  mem.copy_to_device(img.ps_global, tree.prefix_sum());
+  // Each region is written once: upload copies without zeroing first.
+  img.key_region = mem.upload(tree.key_region());
+  if (!tree.value_region().empty()) img.value_region = mem.upload(tree.value_region());
+  img.ps_global = mem.upload(tree.prefix_sum());
 
   // Constant placement: as many complete top levels of the prefix-sum
   // array as fit the budget (and the device's constant segment).

@@ -56,8 +56,7 @@ HarmoniaIndex::QueryResult HarmoniaIndex::search(std::span<const Key> batch,
 
   // Upload the batch, run the kernel, fetch results.
   auto& mem = device_.memory();
-  auto d_queries = mem.malloc<Key>(plan.queries.size());
-  mem.copy_to_device(d_queries, std::span<const Key>(plan.queries));
+  auto d_queries = mem.upload(std::span<const Key>(plan.queries));
   auto d_out = mem.malloc<Value>(plan.queries.size());
 
   result.search = search_batch(device_, image_, d_queries, plan.queries.size(), d_out,
@@ -101,10 +100,8 @@ HarmoniaIndex::RangeResult HarmoniaIndex::range_device(std::span<const Key> los,
   HARMONIA_CHECK(!los.empty());
   HARMONIA_CHECK(los.size() == his.size());
   auto& mem = device_.memory();
-  auto d_lo = mem.malloc<Key>(los.size());
-  auto d_hi = mem.malloc<Key>(his.size());
-  mem.copy_to_device(d_lo, los);
-  mem.copy_to_device(d_hi, his);
+  auto d_lo = mem.upload(los);
+  auto d_hi = mem.upload(his);
   auto d_vals = mem.malloc<Value>(los.size() * max_results);
   auto d_counts = mem.malloc<std::uint32_t>(los.size());
 

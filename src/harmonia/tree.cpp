@@ -108,21 +108,23 @@ HarmoniaTree HarmoniaTree::from_btree(const btree::BTree& tree) {
   out.first_leaf_ = out.level_start_.back();
   out.num_keys_ = tree.size();
 
-  out.key_region_.assign(static_cast<std::size_t>(total) * kpn, kPadKey);
-  out.prefix_sum_.assign(total + 1, total);
-  out.value_region_.assign(
-      static_cast<std::size_t>(total - out.first_leaf_) * kpn, Value{0});
+  // Every slot is written once below: real keys, then the padded tail.
+  out.key_region_.resize(static_cast<std::size_t>(total) * kpn);
+  out.prefix_sum_.resize(std::size_t{total} + 1);
+  out.prefix_sum_[total] = total;
+  out.value_region_.resize(static_cast<std::size_t>(total - out.first_leaf_) * kpn);
 
   std::uint32_t bfs = 0;
   std::uint32_t next_child = 1;
   for (const auto& level : levels) {
     for (const btree::Node* node : level) {
       Key* slots = out.key_region_.data() + static_cast<std::size_t>(bfs) * kpn;
-      std::copy(node->keys.begin(), node->keys.end(), slots);
+      std::fill(std::copy(node->keys.begin(), node->keys.end(), slots), slots + kpn, kPadKey);
       if (node->leaf) {
         Value* vals =
             out.value_region_.data() + static_cast<std::size_t>(bfs - out.first_leaf_) * kpn;
-        std::copy(node->values.begin(), node->values.end(), vals);
+        std::fill(std::copy(node->values.begin(), node->values.end(), vals), vals + kpn,
+                  Value{0});
         out.prefix_sum_[bfs] = total;
       } else {
         out.prefix_sum_[bfs] = next_child;
@@ -137,17 +139,17 @@ HarmoniaTree HarmoniaTree::from_btree(const btree::BTree& tree) {
 
 namespace {
 
-/// Refills `v` with `n` copies of `fill` inside its existing capacity.
-/// When it must grow, it reserves half again as much: a tree that grows
-/// batch by batch then refills the same pages for several rebuilds
-/// instead of faulting in fresh ones each time.
+/// Resizes `v` to `n` elements inside its existing capacity, writing
+/// none of them. When it must grow, it reserves half again as much: a
+/// tree that grows batch by batch then reuses the same pages for several
+/// rebuilds instead of faulting in fresh ones each time.
 template <typename T>
-void refill(std::vector<T>& v, std::size_t n, T fill) {
+void resize_reusing(UninitVector<T>& v, std::size_t n) {
   if (v.capacity() < n) {
-    v = std::vector<T>();
+    v = UninitVector<T>();
     v.reserve(n + n / 2);
   }
-  v.assign(n, fill);
+  v.resize(n);
 }
 
 }  // namespace
@@ -207,9 +209,12 @@ HarmoniaTree HarmoniaTree::with_leaf_level(std::span<const Key> leaf_min, unsign
   out.num_nodes_ = total;
   out.first_leaf_ = out.level_start_.back();
 
-  refill(out.key_region_, static_cast<std::size_t>(total) * kpn, kPadKey);
-  refill(out.prefix_sum_, std::size_t{total} + 1, total);
-  refill(out.value_region_, leaf_min.size() * kpn, Value{0});
+  resize_reusing(out.key_region_, static_cast<std::size_t>(total) * kpn);
+  resize_reusing(out.prefix_sum_, std::size_t{total} + 1);
+  resize_reusing(out.value_region_, leaf_min.size() * kpn);
+  // Leaves (and the sentinel) point past the last node; the leaf level's
+  // slots are the caller's to write.
+  std::fill(out.prefix_sum_.begin() + out.first_leaf_, out.prefix_sum_.end(), total);
 
   // Internal nodes, top-down in BFS order: separators are the min keys of
   // children 1..n-1.
@@ -223,6 +228,7 @@ HarmoniaTree HarmoniaTree::with_leaf_level(std::span<const Key> leaf_min, unsign
       for (std::uint32_t c = 1; c < children; ++c) {
         slots[c - 1] = child_min[child_pos + c];
       }
+      std::fill(slots + (children - 1), slots + kpn, kPadKey);
       out.prefix_sum_[bfs] = next_child;
       next_child += children;
       child_pos += children;
@@ -263,6 +269,8 @@ HarmoniaTree HarmoniaTree::from_leaves(std::vector<std::vector<btree::Entry>> le
       slots[s] = leaves[l][s].key;
       vals[s] = leaves[l][s].value;
     }
+    std::fill(slots + leaves[l].size(), slots + kpn, kPadKey);
+    std::fill(vals + leaves[l].size(), vals + kpn, Value{0});
   }
   return out;
 }
@@ -362,7 +370,7 @@ void write_pod(std::ostream& os, std::uint64_t& h, const T& v) {
 }
 
 template <typename T>
-void write_vec(std::ostream& os, std::uint64_t& h, const std::vector<T>& v) {
+void write_vec(std::ostream& os, std::uint64_t& h, std::span<const T> v) {
   write_pod(os, h, static_cast<std::uint64_t>(v.size()));
   os.write(reinterpret_cast<const char*>(v.data()),
            static_cast<std::streamsize>(v.size() * sizeof(T)));
@@ -383,16 +391,15 @@ T read_pod(std::istream& is, std::uint64_t& h) {
 /// from a bit-flipped image would otherwise drive a huge allocation
 /// instead of a clean ContractViolation.
 template <typename T>
-std::vector<T> read_vec_expect(std::istream& is, std::uint64_t& h, std::uint64_t expect,
-                               const char* what) {
+void read_vec_expect(std::istream& is, std::uint64_t& h, std::uint64_t expect,
+                     const char* what, UninitVector<T>& v) {
   const auto n = read_pod<std::uint64_t>(is, h);
   HARMONIA_CHECK_MSG(n == expect, "corrupt Harmonia image: " << what << " holds " << n
                                       << " entries, header implies " << expect);
-  std::vector<T> v(n);
+  v.resize(n);
   is.read(reinterpret_cast<char*>(v.data()), static_cast<std::streamsize>(n * sizeof(T)));
   HARMONIA_CHECK_MSG(is.good(), "truncated Harmonia image");
   fnv1a(h, v.data(), v.size() * sizeof(T));
-  return v;
 }
 
 }  // namespace
@@ -407,10 +414,10 @@ void HarmoniaTree::save(std::ostream& os, const TreeSnapshotExtras& extras) cons
   write_pod(os, h, num_nodes_);
   write_pod(os, h, first_leaf_);
   write_pod(os, h, num_keys_);
-  write_vec(os, h, level_start_);
-  write_vec(os, h, key_region_);
-  write_vec(os, h, prefix_sum_);
-  write_vec(os, h, value_region_);
+  write_vec(os, h, std::span<const std::uint32_t>(level_start_));
+  write_vec(os, h, key_region());
+  write_vec(os, h, prefix_sum());
+  write_vec(os, h, value_region());
   // v2 extras section, under the same running checksum. Overlay records
   // are written field by field so the on-disk layout is packed (17 bytes
   // per record) and independent of struct padding.
@@ -457,11 +464,11 @@ HarmoniaTree HarmoniaTree::load(std::istream& is, TreeSnapshotExtras* extras) {
           static_cast<std::streamsize>(levels * sizeof(std::uint32_t)));
   HARMONIA_CHECK_MSG(is.good(), "truncated Harmonia image");
   fnv1a(h, out.level_start_.data(), levels * sizeof(std::uint32_t));
-  out.key_region_ = read_vec_expect<Key>(is, h, out.num_nodes_ * kpn, "key region");
-  out.prefix_sum_ = read_vec_expect<std::uint32_t>(is, h, out.num_nodes_ + std::uint64_t{1},
-                                                   "prefix-sum region");
-  out.value_region_ = read_vec_expect<Value>(
-      is, h, (out.num_nodes_ - out.first_leaf_) * kpn, "value region");
+  read_vec_expect(is, h, out.num_nodes_ * kpn, "key region", out.key_region_);
+  read_vec_expect(is, h, out.num_nodes_ + std::uint64_t{1}, "prefix-sum region",
+                  out.prefix_sum_);
+  read_vec_expect(is, h, (out.num_nodes_ - out.first_leaf_) * kpn, "value region",
+                  out.value_region_);
 
   TreeSnapshotExtras ex;
   if (version >= 2) {

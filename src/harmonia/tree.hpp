@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "btree/btree.hpp"
+#include "common/uninit_vector.hpp"
 
 namespace harmonia {
 
@@ -141,12 +142,13 @@ class HarmoniaTree {
   HarmoniaTree() = default;
 
   /// The one shape builder: sizes every region for `leaf_min.size()`
-  /// leaves (leaf_min[i] = leaf i's smallest key), derives the internal
-  /// levels — separators and prefix sums — from those min keys, and leaves
-  /// the leaf level padded (kPadKey keys, zero values) for the caller to
-  /// fill. The caller also sets num_keys_. The regions are built in
-  /// `storage`'s buffers (a retired tree's, or none), reusing their
-  /// capacity; its contents are discarded.
+  /// leaves (leaf_min[i] = leaf i's smallest key) and derives the internal
+  /// levels — separators and prefix sums — from those min keys. The leaf
+  /// level's key and value slots are left unwritten: the caller writes
+  /// every one of them, pads included (kPadKey keys, zero values), so each
+  /// byte is written once. The caller also sets num_keys_. The regions are
+  /// built in `storage`'s buffers (a retired tree's, or none), reusing
+  /// their capacity; its contents are discarded.
   static HarmoniaTree with_leaf_level(std::span<const Key> leaf_min, unsigned fanout,
                                       HarmoniaTree storage);
 
@@ -155,9 +157,10 @@ class HarmoniaTree {
   std::uint32_t first_leaf_ = 0;
   std::uint64_t num_keys_ = 0;
   std::vector<std::uint32_t> level_start_;  // BFS index of each level's first node
-  std::vector<Key> key_region_;
-  std::vector<std::uint32_t> prefix_sum_;  // num_nodes_ + 1 entries
-  std::vector<Value> value_region_;        // num_leaves * (fanout-1) slots
+  // Regions grow without zero-filling; every builder writes them whole.
+  UninitVector<Key> key_region_;
+  UninitVector<std::uint32_t> prefix_sum_;  // num_nodes_ + 1 entries
+  UninitVector<Value> value_region_;        // num_leaves * (fanout-1) slots
 };
 
 }  // namespace harmonia

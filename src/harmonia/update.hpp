@@ -11,11 +11,13 @@
 //    split) and apply the operation there. Later ops targeting that leaf
 //    consult the auxiliary node.
 // Internal levels of the key region are never touched during a batch, so
-// leaf routing needs no locks. After the batch, the deferred movement
-// rebuilds the key region / prefix-sum array from the surviving leaves and
-// the auxiliary nodes in two linear passes: one collects the new leaves'
-// min keys (from which the internal levels derive), one writes the leaf
-// level straight into the new regions.
+// the whole batch is routed up front, without locks: it is sorted by key
+// once and merged against each internal level in turn, and then applied
+// leaf by leaf, each leaf's ops in arrival order. After the batch, the
+// deferred movement rebuilds the key region / prefix-sum array from the
+// surviving leaves and the auxiliary nodes in two linear passes: one
+// collects the new leaves' min keys (from which the internal levels
+// derive), one writes every leaf slot once, straight into the new regions.
 #pragma once
 
 #include <cstdint>
@@ -78,9 +80,11 @@ class BatchUpdater {
   HarmoniaTree& tree_for_patch() { return tree_; }
 
   /// Applies one batch with `threads` workers, then performs the deferred
-  /// movement. Ops are partitioned across workers by key, so ops on one
-  /// key apply in arrival order and the result does not depend on thread
-  /// timing. Returns statistics.
+  /// movement. The batch is sorted by key and routed to leaves level by
+  /// level; each leaf's ops then apply in arrival order, and each worker
+  /// owns a contiguous range of leaves. The tree and the statistics (but
+  /// for coarse_retries and the timings) are those of applying the ops one
+  /// by one in arrival order, at any thread count.
   UpdateStats apply(std::span<const queries::UpdateOp> ops, unsigned threads = 1);
 
   /// The deferred movement builds each new tree in the buffers of the
@@ -95,9 +99,18 @@ class BatchUpdater {
     std::vector<btree::Entry> entries;
   };
 
-  /// Applies one op, accumulating into a worker-local stats block (no
-  /// shared-counter contention on the hot path).
-  void apply_one(const queries::UpdateOp& op, UpdateStats& local);
+  /// Applies leaf `li`'s ops (`run` indexes `ops`, in arrival order),
+  /// accumulating into a worker-local stats block (no shared-counter
+  /// contention on the hot path).
+  void apply_leaf(std::uint32_t li, std::span<const queries::UpdateOp> ops,
+                  std::span<const std::uint64_t> run, UpdateStats& local);
+  /// Algorithm 1's fine path for one op on leaf `li`, called inside a fine
+  /// section under the leaf's lock. False: the op splits or merges the
+  /// leaf and must take the coarse path instead (nothing was changed).
+  bool apply_fine(std::uint32_t li, const queries::UpdateOp& op, UpdateStats& local);
+  /// The coarse path: the op moves leaf `li` to (or applies on) its
+  /// auxiliary node.
+  void apply_coarse(std::uint32_t li, const queries::UpdateOp& op, UpdateStats& local);
   void fine_enter();
   void fine_exit();
   /// Runs `fn` under Algorithm 1's coarse-path protocol.
@@ -110,7 +123,8 @@ class BatchUpdater {
   HarmoniaTree retired_;
   double rebuild_fill_ = 0.69;
   std::vector<std::unique_ptr<AuxNode>> aux_;  // indexed by leaf ordinal
-  std::unique_ptr<std::mutex[]> fine_;
+  std::unique_ptr<std::mutex[]> fine_;  // one per leaf, fine_count_ >= leaves
+  std::uint32_t fine_count_ = 0;
   std::mutex coarse_;
   std::uint64_t global_count_ = 0;
   bool rebuild_needed_ = false;

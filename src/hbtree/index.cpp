@@ -22,8 +22,7 @@ HBTreeIndex HBTreeIndex::build(gpusim::Device& device, std::span<const btree::En
 HBQueryResult HBTreeIndex::search(std::span<const Key> batch) {
   HARMONIA_CHECK(!batch.empty());
   auto& mem = device_.memory();
-  auto d_queries = mem.malloc<Key>(batch.size());
-  mem.copy_to_device(d_queries, batch);
+  auto d_queries = mem.upload(batch);
   auto d_out = mem.malloc<Value>(batch.size());
 
   HBQueryResult result;

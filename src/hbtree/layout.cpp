@@ -1,6 +1,8 @@
 #include "hbtree/layout.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <vector>
 
 #include "common/expect.hpp"
 
@@ -91,19 +93,20 @@ HBTreeDeviceImage HBTreeDeviceImage::upload(gpusim::Device& device, const HBTree
                      static_cast<std::uint64_t>(img.fanout) * sizeof(std::uint32_t) + 7) /
                     8 * 8;
 
-  auto& mem = device.memory();
-  img.nodes = mem.malloc<std::uint8_t>(img.node_stride * img.num_nodes);
+  // Node records are assembled host-side (stride padding zeroed) and
+  // uploaded in one copy, the same write-once path the Harmonia image
+  // takes, so Figure 14 compares like with like.
+  std::vector<std::uint8_t> records(img.node_stride * img.num_nodes);
   for (std::uint32_t n = 0; n < img.num_nodes; ++n) {
+    std::uint8_t* rec = records.data() + n * img.node_stride;
     const auto keys = host.node_keys(n);
-    mem.write_bytes(img.nodes.addr + n * img.node_stride, keys.data(), keys.size_bytes());
+    std::memcpy(rec, keys.data(), keys.size_bytes());
     const auto children = host.node_children(n);
-    mem.write_bytes(img.nodes.addr + n * img.node_stride + kpn * sizeof(Key),
-                    children.data(), children.size_bytes());
+    std::memcpy(rec + kpn * sizeof(Key), children.data(), children.size_bytes());
   }
-  if (!host.value_region().empty()) {
-    img.value_region = mem.malloc<Value>(host.value_region().size());
-    mem.copy_to_device(img.value_region, host.value_region());
-  }
+  auto& mem = device.memory();
+  img.nodes = mem.upload(std::span<const std::uint8_t>(records));
+  if (!host.value_region().empty()) img.value_region = mem.upload(host.value_region());
   return img;
 }
 

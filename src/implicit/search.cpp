@@ -16,10 +16,8 @@ ImplicitDeviceImage ImplicitDeviceImage::upload(gpusim::Device& device,
   img.height = tree.height();
   img.num_nodes = tree.num_nodes();
   auto& mem = device.memory();
-  img.keys = mem.malloc<Key>(tree.keys().size());
-  mem.copy_to_device(img.keys, tree.keys());
-  img.values = mem.malloc<Value>(tree.values().size());
-  mem.copy_to_device(img.values, tree.values());
+  img.keys = mem.upload(tree.keys());
+  img.values = mem.upload(tree.values());
   return img;
 }
 

@@ -97,6 +97,82 @@ TEST(Memory, FreeAllReusesCapacityAndFreshAllocationsReadZero) {
   EXPECT_THROW(mem.read_bytes(mem.global_used() + 4096, &word, sizeof word), ContractViolation);
 }
 
+TEST(Memory, UploadCopiesExactlyAtTheNextAlignedAddress) {
+  Memory mem(1 << 20, 64 << 10);
+  auto a = mem.malloc<std::uint8_t>(3);
+  std::vector<std::uint64_t> in(1000);
+  for (std::size_t i = 0; i < in.size(); ++i) in[i] = i * 0x9E3779B97F4A7C15ULL;
+  auto p = mem.upload(std::span<const std::uint64_t>(in));
+  EXPECT_EQ(p.addr, a.addr + 256);  // where malloc would have placed it
+  EXPECT_EQ(mem.global_used(), p.addr + in.size() * sizeof(std::uint64_t));
+  std::vector<std::uint64_t> out(in.size());
+  mem.copy_to_host(std::span<std::uint64_t>(out), p);
+  EXPECT_EQ(out, in);
+}
+
+TEST(Memory, MallocAfterUploadReadsZeroAcrossFreeAllAndRegrowth) {
+  Memory mem(8 << 20, 64 << 10);
+  const std::vector<std::uint64_t> junk(4096, ~std::uint64_t{0});
+  mem.upload(std::span<const std::uint64_t>(junk));
+  auto after = mem.malloc<std::uint64_t>(512);  // past the upload
+  for (std::uint64_t i = 0; i < 512; ++i) ASSERT_EQ(mem.read<std::uint64_t>(after.element_addr(i)), 0u);
+
+  // Over the junk's old bytes after a reset, then far past the backing
+  // store's capacity, so it regrows: every element reads zero.
+  mem.free_all();
+  mem.upload(std::span<const std::uint64_t>(junk).subspan(0, 7));
+  auto over = mem.malloc<std::uint64_t>(4096);
+  auto grown = mem.malloc<std::uint64_t>(1 << 19);
+  std::vector<std::uint64_t> out(4096, 1);
+  mem.copy_to_host(std::span<std::uint64_t>(out), over);
+  EXPECT_EQ(out, std::vector<std::uint64_t>(4096, 0));
+  out.assign(1 << 19, 1);
+  mem.copy_to_host(std::span<std::uint64_t>(out), grown);
+  EXPECT_EQ(out, std::vector<std::uint64_t>(1 << 19, 0));
+}
+
+TEST(Memory, AlignmentGapsReadZero) {
+  Memory mem(1 << 20, 64 << 10);
+  const std::vector<std::uint8_t> junk(8192, 0xAB);
+  mem.upload(std::span<const std::uint8_t>(junk));
+  mem.free_all();
+  // The null unit, and the tails behind 3-byte uploads and mallocs, were
+  // junk before the reset.
+  const std::vector<std::uint8_t> three(3, 0xCD);
+  auto a = mem.upload(std::span<const std::uint8_t>(three));
+  auto b = mem.malloc<std::uint8_t>(3);
+  auto c = mem.upload(std::span<const std::uint8_t>(three));
+  for (std::uint64_t addr = 0; addr < mem.global_used(); ++addr) {
+    const bool uploaded = (addr >= a.addr && addr < a.addr + 3) || (addr >= c.addr && addr < c.addr + 3);
+    ASSERT_EQ(mem.read<std::uint8_t>(addr), uploaded ? 0xCD : 0) << "at " << addr;
+  }
+  EXPECT_EQ(b.addr, a.addr + 256);
+
+  // Constant segment: a reset re-zeroes what the next allocations cover.
+  auto k = mem.const_malloc<std::uint64_t>(40);
+  mem.write(k.element_addr(39), ~std::uint64_t{0});
+  mem.free_all();
+  auto k2 = mem.const_malloc<std::uint8_t>(1);
+  auto k3 = mem.const_malloc<std::uint64_t>(40);
+  EXPECT_EQ(k2.addr, k.addr);
+  for (std::uint64_t i = 0; i < 40; ++i) ASSERT_EQ(mem.read<std::uint64_t>(k3.element_addr(i)), 0u);
+  for (std::uint64_t addr = k2.addr; addr < k3.addr; ++addr) ASSERT_EQ(mem.read<std::uint8_t>(addr), 0);
+}
+
+TEST(Memory, OutOfRangeCopyThrows) {
+  Memory mem(64 << 10, 64 << 10);
+  const std::vector<std::uint64_t> in(64, 5);
+  auto p = mem.upload(std::span<const std::uint64_t>(in));
+  // A copy running past the last allocation, and an upload past capacity.
+  const std::vector<std::uint64_t> more(65, 6);
+  EXPECT_THROW(mem.copy_to_device(p, std::span<const std::uint64_t>(more)), ContractViolation);
+  const std::vector<std::uint64_t> huge(16 << 10, 7);
+  EXPECT_THROW(mem.upload(std::span<const std::uint64_t>(huge)), ContractViolation);
+  std::vector<std::uint64_t> out(64);
+  mem.copy_to_host(std::span<std::uint64_t>(out), p);
+  EXPECT_EQ(out, in);  // the failed calls changed nothing
+}
+
 TEST(Memory, ElementAddressArithmetic) {
   DevPtr<std::uint64_t> p{1024};
   EXPECT_EQ(p.element_addr(0), 1024u);

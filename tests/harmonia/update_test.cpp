@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 
 #include "btree/btree.hpp"
@@ -260,6 +262,222 @@ TEST(BatchUpdater, ThreadedApplyKeepsPerKeyArrivalOrder) {
       EXPECT_EQ(got.failed, want.failed);
       f.updater.tree().validate();
       EXPECT_EQ(contents(f.updater.tree()), contents(serial.updater.tree()));
+    }
+  }
+}
+
+/// FNV-1a over every region and shape field: equal digests mean equal
+/// trees, byte for byte.
+std::uint64_t tree_digest(const HarmoniaTree& tree) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 0x100000001b3ULL;
+  };
+  const std::uint64_t shape[] = {tree.fanout(), tree.num_nodes(), tree.first_leaf_index(),
+                                 tree.num_keys(), tree.height()};
+  mix(shape, sizeof shape);
+  mix(tree.key_region().data(), tree.key_region().size_bytes());
+  mix(tree.prefix_sum().data(), tree.prefix_sum().size_bytes());
+  mix(tree.value_region().data(), tree.value_region().size_bytes());
+  return h;
+}
+
+/// The counters of two applies agree (timings and, off one thread, the
+/// schedule-dependent coarse_retries aside).
+void expect_same_counters(const UpdateStats& got, const UpdateStats& want) {
+  EXPECT_EQ(got.updates, want.updates);
+  EXPECT_EQ(got.inserts, want.inserts);
+  EXPECT_EQ(got.deletes, want.deletes);
+  EXPECT_EQ(got.failed, want.failed);
+  EXPECT_EQ(got.fine_path_ops, want.fine_path_ops);
+  EXPECT_EQ(got.coarse_path_ops, want.coarse_path_ops);
+  EXPECT_EQ(got.aux_nodes, want.aux_nodes);
+  EXPECT_EQ(got.moved_slots, want.moved_slots);
+  EXPECT_EQ(got.rebuilt, want.rebuilt);
+}
+
+// Ops on different keys of one leaf do not commute either: a delete
+// frees the slot a later insert fills in place, while the insert first
+// would split the leaf. So the result must not depend on which worker
+// reaches a shared leaf first. Full leaves, 40% inserts and 40% deletes
+// put many such pairs in one batch.
+TEST(BatchUpdater, ThreadedApplyMatchesOneThreadOnSharedLeaves) {
+  const auto keys = queries::make_tree_keys(1u << 16, 21);
+  const auto tree = HarmoniaTree::from_btree(btree::make_tree(keys, 16, 1.0));
+  queries::BatchSpec spec;
+  spec.size = 1u << 14;
+  spec.insert_fraction = 0.4;
+  spec.delete_fraction = 0.4;
+  spec.seed = 22;
+  const auto ops = queries::make_update_batch(keys, spec);
+
+  BatchUpdater serial(tree, 0.69);
+  const UpdateStats want = serial.apply(ops, 1);
+  ASSERT_TRUE(want.rebuilt);
+  ASSERT_GT(want.fine_path_ops, 0u);
+  ASSERT_GT(want.coarse_path_ops, 0u);
+  EXPECT_EQ(want.coarse_retries, 0u);
+  const std::uint64_t want_digest = tree_digest(serial.tree());
+
+  for (const unsigned threads : {2u, 4u, 8u}) {
+    for (int rep = 0; rep < 4; ++rep) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, rep " << rep);
+      BatchUpdater threaded(tree, 0.69);
+      expect_same_counters(threaded.apply(ops, threads), want);
+      EXPECT_EQ(tree_digest(threaded.tree()), want_digest);
+    }
+  }
+}
+
+/// Arrival-order reference for the apply: each op routes with find_leaf
+/// and takes Algorithm 1's fine path when it neither splits nor empties
+/// its leaf, else moves the leaf to an auxiliary node; the deferred
+/// movement chunks aux nodes into target-fill leaves (from_leaves derives
+/// the internal levels the way the rebuild does).
+struct ArrivalOrderReference {
+  HarmoniaTree tree;
+  double fill;
+  std::map<std::uint32_t, std::vector<btree::Entry>> aux;  // by leaf ordinal
+  UpdateStats stats;
+
+  void apply(const UpdateOp& op) {
+    const std::uint32_t leaf = tree.find_leaf(op.key);
+    const std::uint32_t li = leaf - tree.first_leaf_index();
+    const auto split = aux.find(li);
+    const auto find = [&](std::vector<btree::Entry>& entries) {
+      return std::lower_bound(entries.begin(), entries.end(), op.key,
+                              [](const btree::Entry& e, Key k) { return e.key < k; });
+    };
+    const auto move_to_aux = [&]() -> std::vector<btree::Entry>& {
+      if (split == aux.end()) return aux[li] = tree.leaf_entries(leaf);
+      return split->second;
+    };
+    switch (op.kind) {
+      case OpKind::kUpdate: {
+        ++stats.updates;
+        ++stats.fine_path_ops;
+        bool ok;
+        if (split != aux.end()) {
+          const auto it = find(split->second);
+          ok = it != split->second.end() && it->key == op.key;
+          if (ok) it->value = op.value;
+        } else {
+          ok = tree.leaf_update_inplace(leaf, op.key, op.value);
+        }
+        if (!ok) ++stats.failed;
+        return;
+      }
+      case OpKind::kInsert: {
+        ++stats.inserts;
+        if (split == aux.end() && tree.leaf_insert_inplace(leaf, op.key, op.value)) {
+          ++stats.fine_path_ops;
+          return;
+        }
+        ++stats.coarse_path_ops;
+        auto& entries = move_to_aux();
+        const auto it = find(entries);
+        if (it != entries.end() && it->key == op.key) {
+          it->value = op.value;
+        } else {
+          entries.insert(it, {op.key, op.value});
+        }
+        return;
+      }
+      case OpKind::kDelete: {
+        ++stats.deletes;
+        const bool fine = split != aux.end() ? split->second.size() > 1
+                                             : tree.node_key_count(leaf) > 1;
+        bool ok;
+        if (fine && split == aux.end()) {
+          ++stats.fine_path_ops;
+          ok = tree.leaf_erase_inplace(leaf, op.key);
+        } else {
+          (fine ? stats.fine_path_ops : stats.coarse_path_ops) += 1;
+          auto& entries = move_to_aux();
+          const auto it = find(entries);
+          ok = it != entries.end() && it->key == op.key;
+          if (ok) entries.erase(it);
+        }
+        if (!ok) ++stats.failed;
+        return;
+      }
+    }
+  }
+
+  HarmoniaTree finish() {
+    if (aux.empty()) return tree;
+    const unsigned kpn = tree.keys_per_node();
+    const auto target = std::clamp<std::size_t>(
+        static_cast<std::size_t>(std::lround(static_cast<double>(kpn) * fill)), 1, kpn);
+    std::vector<std::vector<btree::Entry>> leaves;
+    for (std::uint32_t li = 0; li < tree.num_leaves(); ++li) {
+      const auto it = aux.find(li);
+      if (it == aux.end()) {
+        leaves.push_back(tree.leaf_entries(tree.first_leaf_index() + li));
+        continue;
+      }
+      for (std::size_t i = 0; i < it->second.size(); i += target) {
+        const auto first = it->second.begin() + static_cast<std::ptrdiff_t>(i);
+        leaves.emplace_back(first, first + static_cast<std::ptrdiff_t>(
+                                               std::min(target, it->second.size() - i)));
+      }
+    }
+    HarmoniaTree out = HarmoniaTree::from_leaves(std::move(leaves), tree.fanout());
+    stats.rebuilt = true;
+    stats.aux_nodes = aux.size();
+    const std::uint64_t slots = std::uint64_t{out.num_nodes()} * kpn;
+    stats.moved_slots = slots - std::min<std::uint64_t>(slots, std::uint64_t{aux.begin()->first} * kpn);
+    return out;
+  }
+};
+
+// The leaf-ordered apply against the arrival-order reference: random
+// batches whose ops crowd a few dozen leaves (several ops per leaf, every
+// kind, repeated keys), each chained onto the last so the rebuild reuses
+// retired buffers, plus a delete-then-insert pair on a full leaf, at
+// fanout 8 and 64 and at one and three threads.
+TEST(BatchUpdater, LeafOrderedApplyMatchesArrivalOrderReference) {
+  for (const unsigned fanout : {8u, 64u}) {
+    for (const unsigned threads : {1u, 3u}) {
+      SCOPED_TRACE(testing::Message() << "fanout " << fanout << ", " << threads << " threads");
+      const auto keys = queries::make_tree_keys(fanout * 200, fanout + threads);
+      BatchUpdater updater(HarmoniaTree::from_btree(btree::make_tree(keys, fanout, 1.0)), 0.69);
+      std::vector<Key> live(keys.begin(), keys.end());
+      Xoshiro256 rng(fanout * 10 + threads);
+      for (int batch = 0; batch < 6; ++batch) {
+        SCOPED_TRACE(testing::Message() << "batch " << batch);
+        const HarmoniaTree& before = updater.tree();
+        std::vector<UpdateOp> ops;
+        // Delete-then-insert on one full leaf: the insert fits in place.
+        const std::uint32_t full = before.first_leaf_index() +
+                                   static_cast<std::uint32_t>(rng.next_below(before.num_leaves()));
+        const auto entries = before.leaf_entries(full);
+        if (entries.size() == before.keys_per_node() && entries[0].key + 1 < entries[1].key) {
+          ops.push_back({OpKind::kDelete, entries.back().key, 0});
+          ops.push_back({OpKind::kInsert, entries[0].key + 1, 77});
+        }
+        // A window of ~30 leaves' worth of keys takes 600 mixed ops.
+        std::sort(live.begin(), live.end());
+        const std::size_t span = std::min<std::size_t>(live.size(), 30 * (fanout - 1));
+        const std::size_t lo = rng.next_below(live.size() - span + 1);
+        for (int i = 0; i < 600; ++i) {
+          const Key base = live[lo + rng.next_below(span)];
+          const Key key = rng.next_below(3) == 0 ? base + 1 + rng.next_below(3) : base;
+          const auto kind = static_cast<OpKind>(rng.next_below(3));
+          ops.push_back({kind, key, rng.next()});
+        }
+        ArrivalOrderReference ref{before, 0.69, {}, {}};
+        for (const auto& op : ops) ref.apply(op);
+        const HarmoniaTree want = ref.finish();
+
+        const UpdateStats got = updater.apply(ops, threads);
+        expect_same_counters(got, ref.stats);
+        updater.tree().validate();
+        ASSERT_EQ(tree_digest(updater.tree()), tree_digest(want));
+        live.clear();
+        for (const auto& e : updater.tree().range(0, ~Key{0} - 1)) live.push_back(e.key);
+      }
     }
   }
 }
