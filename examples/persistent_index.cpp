@@ -21,9 +21,7 @@ int main() {
   for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
 
   {
-    btree::BTree builder(64);
-    builder.bulk_load(entries);
-    const auto tree = HarmoniaTree::from_btree(builder);
+    const auto tree = HarmoniaTree::bulk_load(entries, 64);
     WallTimer timer;
     std::ofstream out(path, std::ios::binary);
     tree.save(out);

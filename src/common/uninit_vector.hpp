@@ -1,7 +1,7 @@
 // A std::vector whose growth leaves new elements default-initialized:
 // for trivial types, resize() only moves the end pointer instead of
 // zero-filling. Used for large regions that the caller writes whole right
-// after sizing them (a rebuilt key region, simulated device memory), so
+// after sizing them (a rebuilt or bulk-loaded tree region), so
 // each byte is written once.
 #pragma once
 

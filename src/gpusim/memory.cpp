@@ -1,6 +1,9 @@
 #include "gpusim/memory.hpp"
 
-#include <algorithm>
+#include <sys/mman.h>
+
+#include <cerrno>
+#include <cstring>
 
 namespace harmonia::gpusim {
 
@@ -14,9 +17,18 @@ std::uint64_t round_up(std::uint64_t v, std::uint64_t align) {
 
 Memory::Memory(std::uint64_t global_bytes, std::uint64_t const_bytes)
     : const_(const_bytes), global_capacity_(global_bytes) {
+  // Reserve the whole segment up front; pages are committed on first
+  // touch, and fresh anonymous pages read zero.
+  void* base = ::mmap(nullptr, global_bytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  HARMONIA_CHECK_MSG(base != MAP_FAILED, "cannot reserve a " << global_bytes
+                                             << " B global segment: " << std::strerror(errno));
+  global_ = static_cast<std::uint8_t*>(base);
   // Address 0 acts as the null device pointer: burn the first alignment unit.
   global_used_ = kAlign;
 }
+
+Memory::~Memory() { ::munmap(global_, global_capacity_); }
 
 std::uint64_t Memory::reserve_bytes(std::uint64_t bytes, bool constant) {
   HARMONIA_CHECK(bytes > 0);
@@ -33,40 +45,29 @@ std::uint64_t Memory::reserve_bytes(std::uint64_t bytes, bool constant) {
   HARMONIA_CHECK_MSG(base + bytes <= global_capacity_,
                      "global segment overflow: need " << bytes << " B at offset " << base
                                                       << ", capacity " << global_capacity_);
+  std::memset(global_ + global_used_, 0, base - global_used_);
   global_used_ = base + bytes;
-  const std::uint64_t committed = global_.size();
-  if (global_.capacity() < global_used_) {
-    // Grow the capacity geometrically. After free_all the size restarts
-    // small, so the vector's own growth would reallocate to an exact fit
-    // whenever the next image is a little larger than the last.
-    global_.reserve(std::min(global_capacity_,
-                             std::max<std::uint64_t>(global_used_, 2 * global_.capacity())));
-  }
-  global_.resize(global_used_);
-  std::memset(global_.data() + committed, 0, base - committed);
   return base;
 }
 
 std::uint64_t Memory::alloc_bytes(std::uint64_t bytes, bool constant) {
   const std::uint64_t addr = reserve_bytes(bytes, constant);
-  std::memset(constant ? const_.data() + (addr - kConstBase) : global_.data() + addr, 0, bytes);
+  std::memset(constant ? const_.data() + (addr - kConstBase) : global_ + addr, 0, bytes);
   return addr;
 }
 
 std::uint64_t Memory::upload_bytes(const void* src, std::uint64_t bytes) {
   const std::uint64_t addr = reserve_bytes(bytes, /*constant=*/false);
-  std::memcpy(global_.data() + addr, src, bytes);
+  std::memcpy(global_ + addr, src, bytes);
   return addr;
 }
 
 void Memory::free_all() {
   global_used_ = kAlign;
   const_used_ = 0;
-  // The backing store keeps its capacity, so the next image regrows into
-  // memory already committed instead of through a reallocation cascade.
-  // Only the null unit stays committed; it reads zero.
-  global_.resize(kAlign);
-  std::memset(global_.data(), 0, kAlign);
+  // Pages stay committed: the next image refills them instead of faulting
+  // in fresh ones. Only the null unit stays allocated; it reads zero.
+  std::memset(global_, 0, kAlign);
 }
 
 void Memory::read_bytes(std::uint64_t addr, void* out, std::size_t n) const {
@@ -76,7 +77,7 @@ void Memory::read_bytes(std::uint64_t addr, void* out, std::size_t n) const {
     std::memcpy(out, const_.data() + off, n);
   } else {
     HARMONIA_CHECK_MSG(in_global(addr, n), "global read out of bounds at " << addr);
-    std::memcpy(out, global_.data() + addr, n);
+    std::memcpy(out, global_ + addr, n);
   }
 }
 
@@ -87,7 +88,7 @@ void Memory::write_bytes(std::uint64_t addr, const void* in, std::size_t n) {
     std::memcpy(const_.data() + off, in, n);
   } else {
     HARMONIA_CHECK_MSG(in_global(addr, n), "global write out of bounds at " << addr);
-    std::memcpy(global_.data() + addr, in, n);
+    std::memcpy(global_ + addr, in, n);
   }
 }
 

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/expect.hpp"
-#include "common/uninit_vector.hpp"
 
 namespace harmonia::gpusim {
 
@@ -38,9 +37,16 @@ struct DevPtr {
 /// covered it (malloc bodies and every alignment gap). Device memory never
 /// holds indeterminate bytes, and each byte an upload covers is written
 /// once.
+///
+/// The global segment is one fixed reservation of its whole capacity,
+/// made at construction: the host commits a page when it is first
+/// touched, and the segment is never reallocated or copied.
 class Memory {
  public:
   Memory(std::uint64_t global_bytes, std::uint64_t const_bytes);
+  ~Memory();
+  Memory(const Memory&) = delete;
+  Memory& operator=(const Memory&) = delete;
 
   /// Bump-allocates `count` elements in global memory, 256 B aligned.
   /// The allocation reads zero.
@@ -63,8 +69,8 @@ class Memory {
     return DevPtr<T>{upload_bytes(src.data(), src.size_bytes())};
   }
 
-  /// Releases everything allocated so far (both segments). The global
-  /// segment's host backing keeps its capacity for the next allocations.
+  /// Releases everything allocated so far (both segments). Pages of the
+  /// global segment stay committed for the next allocations.
   void free_all();
 
   template <typename T>
@@ -84,7 +90,7 @@ class Memory {
   T read(std::uint64_t addr) const {
     T out;
     if (in_global(addr, sizeof(T))) {
-      std::memcpy(&out, global_.data() + addr, sizeof(T));
+      std::memcpy(&out, global_ + addr, sizeof(T));
     } else {
       read_bytes(addr, &out, sizeof(T));
     }
@@ -94,7 +100,7 @@ class Memory {
   template <typename T>
   void write(std::uint64_t addr, const T& value) {
     if (in_global(addr, sizeof(T))) {
-      std::memcpy(global_.data() + addr, &value, sizeof(T));
+      std::memcpy(global_ + addr, &value, sizeof(T));
     } else {
       write_bytes(addr, &value, sizeof(T));
     }
@@ -115,17 +121,15 @@ class Memory {
   std::uint64_t alloc_bytes(std::uint64_t bytes, bool constant);
   std::uint64_t upload_bytes(const void* src, std::uint64_t bytes);
 
-  /// [addr, addr + n) lies in the committed global segment. Constant
-  /// addresses never do: they sit above every global allocation.
+  /// [addr, addr + n) lies below global_used(). Constant addresses never
+  /// do: they sit above every global allocation.
   bool in_global(std::uint64_t addr, std::size_t n) const {
-    return addr <= global_.size() && n <= global_.size() - addr;
+    return addr <= global_used_ && n <= global_used_ - addr;
   }
 
-  /// Host backing store for the global segment grows on demand (the
-  /// simulated device "has" global_capacity_ bytes, but the host only
-  /// commits what allocations actually touch). Growth does not zero:
-  /// reserve_bytes' callers write every byte they reserve.
-  UninitVector<std::uint8_t> global_;
+  /// The global segment: an anonymous private mapping of
+  /// global_capacity_ bytes, reserved without committing memory.
+  std::uint8_t* global_ = nullptr;
   std::vector<std::uint8_t> const_;
   std::uint64_t global_capacity_ = 0;
   std::uint64_t global_used_ = 0;

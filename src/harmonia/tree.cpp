@@ -154,10 +154,17 @@ void resize_reusing(UninitVector<T>& v, std::size_t n) {
 
 }  // namespace
 
+HarmoniaTree::Grouping HarmoniaTree::rebuild_grouping(unsigned fanout) {
+  return {std::clamp<std::size_t>(static_cast<std::size_t>(std::lround(fanout * 0.69)), 2,
+                                  fanout),
+          2};
+}
+
 HarmoniaTree HarmoniaTree::with_leaf_level(std::span<const Key> leaf_min, unsigned fanout,
-                                           HarmoniaTree storage) {
+                                           Grouping grouping, HarmoniaTree storage) {
   HARMONIA_CHECK(fanout >= 4);
   HARMONIA_CHECK(!leaf_min.empty());
+  HARMONIA_CHECK(grouping.target_children >= 2 && grouping.target_children <= fanout);
   const unsigned kpn = fanout - 1;
 
   // Internal levels bottom-up: each node's min key and child count.
@@ -167,9 +174,6 @@ HarmoniaTree HarmoniaTree::with_leaf_level(std::span<const Key> leaf_min, unsign
     std::vector<std::uint32_t> children;
   };
   std::vector<Level> parents;
-  // Group children into parents, target occupancy ~ the bulk-load default.
-  const auto target_children =
-      std::clamp<std::size_t>(static_cast<std::size_t>(std::lround(fanout * 0.69)), 2, fanout);
   const auto level_mins = [&](std::size_t i) {
     return i == 0 ? leaf_min : std::span<const Key>(parents[i - 1].min_key);
   };
@@ -178,10 +182,10 @@ HarmoniaTree HarmoniaTree::with_leaf_level(std::span<const Key> leaf_min, unsign
     Level up;
     std::size_t i = 0;
     while (i < child_min.size()) {
-      std::size_t take = std::min(target_children, child_min.size() - i);
+      std::size_t take = std::min(grouping.target_children, child_min.size() - i);
       const std::size_t rest = child_min.size() - i - take;
-      if (rest > 0 && rest < 2) {
-        // No singleton tail node: absorb it if the node has room,
+      if (rest > 0 && rest < grouping.min_children) {
+        // No underfull tail node: absorb it if the node has room,
         // otherwise split the remainder evenly.
         if (take + rest <= fanout) {
           take += rest;
@@ -240,6 +244,65 @@ HarmoniaTree HarmoniaTree::with_leaf_level(std::span<const Key> leaf_min, unsign
   return out;
 }
 
+HarmoniaTree HarmoniaTree::bulk_load(std::span<const btree::Entry> entries, unsigned fanout,
+                                     double fill_factor) {
+  HARMONIA_CHECK(fanout >= 4);
+  HARMONIA_CHECK(fill_factor > 0.0 && fill_factor <= 1.0);
+  HARMONIA_CHECK_MSG(!entries.empty(), "cannot bulk-load an empty tree");
+  // btree::BTree::bulk_load's partition rule: target_keys per leaf, and a
+  // tail shorter than min_keys absorbed into the last leaf when it fits,
+  // otherwise split evenly with it.
+  const std::size_t max_keys = fanout - 1;
+  const std::size_t min_keys = max_keys / 2;
+  const auto target_keys = std::clamp<std::size_t>(
+      static_cast<std::size_t>(std::lround(static_cast<double>(max_keys) * fill_factor)),
+      std::max<std::size_t>(1, min_keys), max_keys);
+  const auto leaf_take = [&](std::size_t i) {
+    std::size_t take = std::min(target_keys, entries.size() - i);
+    const std::size_t rest = entries.size() - i - take;
+    if (rest > 0 && rest < min_keys) {
+      take = take + rest <= max_keys ? take + rest : (take + rest + 1) / 2;
+    }
+    return take;
+  };
+
+  // Pass 1: each leaf's min key (one entry read per leaf).
+  std::vector<Key> leaf_min;
+  leaf_min.reserve(entries.size() / target_keys + 1);
+  for (std::size_t i = 0; i < entries.size(); i += leaf_take(i)) {
+    leaf_min.push_back(entries[i].key);
+  }
+
+  // The internal levels group as BTree::bulk_load's do: target_keys + 1
+  // children, tails shorter than min_keys + 1 absorbed or split.
+  // target_keys's clamp already keeps target_keys + 1 within [2, fanout].
+  HarmoniaTree out =
+      with_leaf_level(leaf_min, fanout, {target_keys + 1, min_keys + 1}, HarmoniaTree());
+  out.num_keys_ = entries.size();
+
+  // Pass 2: every leaf slot once, checking the input ascends as it goes.
+  Key* keys = out.key_region_.data() + std::size_t{out.first_leaf_} * max_keys;
+  Value* vals = out.value_region_.data();
+  for (std::size_t i = 0; i < entries.size();) {
+    const std::size_t take = leaf_take(i);
+    for (std::size_t s = 0; s < take; ++s) {
+      HARMONIA_CHECK_MSG(i + s == 0 || entries[i + s - 1].key < entries[i + s].key,
+                         "bulk_load input must be sorted and distinct");
+      keys[s] = entries[i + s].key;
+      vals[s] = entries[i + s].value;
+    }
+    std::fill(keys + take, keys + max_keys, kPadKey);
+    std::fill(vals + take, vals + max_keys, Value{0});
+    keys += max_keys;
+    vals += max_keys;
+    i += take;
+  }
+#ifndef NDEBUG
+  out.validate();
+#endif
+  return out;
+}
+
 HarmoniaTree HarmoniaTree::from_leaves(std::vector<std::vector<btree::Entry>> leaves,
                                        unsigned fanout) {
   HARMONIA_CHECK(fanout >= 4);
@@ -254,7 +317,8 @@ HarmoniaTree HarmoniaTree::from_leaves(std::vector<std::vector<btree::Entry>> le
     num_keys += leaf.size();
   }
 
-  HarmoniaTree out = with_leaf_level(leaf_min, fanout, HarmoniaTree());
+  HarmoniaTree out =
+      with_leaf_level(leaf_min, fanout, rebuild_grouping(fanout), HarmoniaTree());
   out.num_keys_ = num_keys;
   Key prev = 0;
   bool have_prev = false;

@@ -60,6 +60,14 @@ class HarmoniaTree {
   /// placement, child pointers replaced by the prefix-sum array.
   static HarmoniaTree from_btree(const btree::BTree& tree);
 
+  /// Builds straight from sorted, distinct entries: the tree
+  /// from_btree(BTree::bulk_load(entries, fill_factor)) would give, byte
+  /// for byte, without the pointer tree. Leaves take the same key counts
+  /// as btree::BTree::bulk_load, and the internal levels come from the
+  /// shape builder with its grouping rule. Each leaf slot is written once.
+  static HarmoniaTree bulk_load(std::span<const btree::Entry> entries, unsigned fanout,
+                                double fill_factor = 0.69);
+
   /// Builds directly from leaf-level contents: `leaves[i]` holds one leaf's
   /// (key, value) entries (sorted, non-empty, globally ascending). Internal
   /// levels are derived the same way the batch updater's post-batch
@@ -141,16 +149,29 @@ class HarmoniaTree {
 
   HarmoniaTree() = default;
 
+  /// How the shape builder groups a level's nodes under parents:
+  /// `target_children` to a parent; a tail shorter than `min_children` is
+  /// absorbed into the last parent when that stays within the fanout, and
+  /// otherwise split evenly with it.
+  struct Grouping {
+    std::size_t target_children;
+    std::size_t min_children;
+  };
+  /// The batch rebuild's (and from_leaves') rule: ~69% of the fanout, no
+  /// singleton tails. bulk_load uses btree::BTree::bulk_load's instead.
+  static Grouping rebuild_grouping(unsigned fanout);
+
   /// The one shape builder: sizes every region for `leaf_min.size()`
   /// leaves (leaf_min[i] = leaf i's smallest key) and derives the internal
-  /// levels — separators and prefix sums — from those min keys. The leaf
-  /// level's key and value slots are left unwritten: the caller writes
-  /// every one of them, pads included (kPadKey keys, zero values), so each
-  /// byte is written once. The caller also sets num_keys_. The regions are
-  /// built in `storage`'s buffers (a retired tree's, or none), reusing
-  /// their capacity; its contents are discarded.
+  /// levels — separators and prefix sums — from those min keys, grouped
+  /// by `grouping`. The leaf level's key and value slots are left
+  /// unwritten: the caller writes every one of them, pads included
+  /// (kPadKey keys, zero values), so each byte is written once. The
+  /// caller also sets num_keys_. The regions are built in `storage`'s
+  /// buffers (a retired tree's, or none), reusing their capacity; its
+  /// contents are discarded.
   static HarmoniaTree with_leaf_level(std::span<const Key> leaf_min, unsigned fanout,
-                                      HarmoniaTree storage);
+                                      Grouping grouping, HarmoniaTree storage);
 
   unsigned fanout_ = 0;
   std::uint32_t num_nodes_ = 0;

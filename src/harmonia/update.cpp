@@ -312,7 +312,9 @@ void BatchUpdater::rebuild(UpdateStats& stats) {
   // leaves move as whole kpn-slot records (kPadKey / zero-value tails
   // included); aux chunks slot by slot, then their padded tails.
   HarmoniaTree rebuilt =
-      HarmoniaTree::with_leaf_level(leaf_min, old.fanout(), std::move(retired_));
+      HarmoniaTree::with_leaf_level(leaf_min, old.fanout(),
+                                    HarmoniaTree::rebuild_grouping(old.fanout()),
+                                    std::move(retired_));
   Key* keys = rebuilt.key_region_.data() + std::size_t{rebuilt.first_leaf_} * kpn;
   Value* vals = rebuilt.value_region_.data();
   std::uint64_t num_keys = 0;

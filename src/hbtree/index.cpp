@@ -1,5 +1,8 @@
 #include "hbtree/index.hpp"
 
+#include <algorithm>
+#include <vector>
+
 #include "common/expect.hpp"
 #include "common/timer.hpp"
 
@@ -36,7 +39,16 @@ HBQueryResult HBTreeIndex::search(std::span<const Key> batch) {
 HBUpdateStats HBTreeIndex::update_batch(std::span<const queries::UpdateOp> ops) {
   HBUpdateStats stats;
   WallTimer timer;
-  for (const auto& op : ops) {
+  // Applied in key order, as Harmonia's updater applies its batch leaf by
+  // leaf: successive ops then descend to the same or the next leaf. The
+  // sort is stable, so each key's ops keep their arrival order and the
+  // final contents and counts equal an arrival-order apply.
+  std::vector<queries::UpdateOp> sorted(ops.begin(), ops.end());
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const queries::UpdateOp& a, const queries::UpdateOp& b) {
+                     return a.key < b.key;
+                   });
+  for (const auto& op : sorted) {
     switch (op.kind) {
       case OpKind::kUpdate:
         ++stats.updates;

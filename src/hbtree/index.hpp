@@ -52,7 +52,8 @@ class HBTreeIndex {
 
   HBQueryResult search(std::span<const Key> batch);
 
-  /// CPU batch update on the pointer tree, then device re-sync.
+  /// CPU batch update on the pointer tree, applied stably sorted by key
+  /// (each key's ops in arrival order), then device re-sync.
   HBUpdateStats update_batch(std::span<const queries::UpdateOp> ops);
 
  private:

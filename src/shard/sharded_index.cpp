@@ -1,8 +1,12 @@
 #include "shard/sharded_index.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <map>
 #include <string>
+#include <system_error>
+#include <thread>
 
 #include "common/expect.hpp"
 
@@ -15,12 +19,45 @@ ShardedIndex::ShardedIndex(std::span<const btree::Entry> entries, ShardPlan plan
       entries.begin(), entries.end(),
       [](const btree::Entry& a, const btree::Entry& b) { return a.key < b.key; }));
   // Entries are sorted, so each shard's slice is one contiguous subspan.
+  std::vector<std::span<const btree::Entry>> slices(num_shards());
   std::size_t begin = 0;
   for (unsigned s = 0; s < num_shards(); ++s) {
     std::size_t end = begin;
     while (end < entries.size() && plan_.shard_of(entries[end].key) == s) ++end;
-    if (end > begin) build_shard(s, entries.subspan(begin, end - begin));
+    slices[s] = entries.subspan(begin, end - begin);
     begin = end;
+  }
+
+  // Each shard builds into its own device, so shards build concurrently:
+  // the caller plus up to three threads claim shards in turn. A failed
+  // shard's exception waits until every worker is joined; the lowest
+  // failing shard's is rethrown.
+  std::vector<std::exception_ptr> errors(num_shards());
+  std::atomic<unsigned> next{0};
+  const auto work = [&] {
+    for (unsigned s; (s = next.fetch_add(1)) < num_shards();) {
+      if (slices[s].empty()) continue;
+      try {
+        build_shard(s, slices[s]);
+      } catch (...) {
+        errors[s] = std::current_exception();
+      }
+    }
+  };
+  const unsigned workers =
+      std::min({num_shards(), 4u, std::max(1u, std::thread::hardware_concurrency())});
+  std::vector<std::thread> threads;
+  for (unsigned w = 1; w < workers; ++w) {
+    try {
+      threads.emplace_back(work);
+    } catch (const std::system_error&) {
+      break;  // no thread to spare: the started workers and the caller finish
+    }
+  }
+  work();
+  for (std::thread& t : threads) t.join();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
 }
 
@@ -31,11 +68,7 @@ void ShardedIndex::build_shard(unsigned s, std::span<const btree::Entry> entries
   shards_[s].device = std::make_unique<gpusim::Device>(spec);
   shards_[s].index = std::make_unique<HarmoniaIndex>(
       *shards_[s].device,
-      [&] {
-        btree::BTree builder(options_.index.fanout);
-        builder.bulk_load(entries, options_.index.fill_factor);
-        return HarmoniaTree::from_btree(builder);
-      }(),
+      HarmoniaTree::bulk_load(entries, options_.index.fanout, options_.index.fill_factor),
       options_.index);
 }
 

@@ -47,15 +47,19 @@ struct ShardedOptions {
   TransferModel link;
   /// Chunking + query options for the per-shard search pipelines.
   PipelineOptions pipeline;
-  /// Global-memory cap per simulated device (backing store is lazily
-  /// allocated, but small caps keep accidental huge sweeps honest).
+  /// Global-memory cap per simulated device (reserved up front, pages
+  /// committed on first touch; small caps keep accidental huge sweeps
+  /// honest).
   std::uint64_t device_global_bytes = 2ULL << 30;
 };
 
 class ShardedIndex {
  public:
   /// Builds one tree + device image per shard from sorted, distinct
-  /// entries (the same bulk-load contract as HarmoniaIndex::build).
+  /// entries (the same bulk-load contract as HarmoniaIndex::build). The
+  /// shards build concurrently on at most min(shards, 4,
+  /// hardware_concurrency()) threads; if any fails, the lowest-numbered
+  /// failing shard's exception is rethrown once all have finished.
   ShardedIndex(std::span<const btree::Entry> entries, ShardPlan plan,
                const ShardedOptions& options = {});
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
 #include <vector>
 
 #include "common/expect.hpp"
@@ -117,8 +118,8 @@ TEST(Memory, MallocAfterUploadReadsZeroAcrossFreeAllAndRegrowth) {
   auto after = mem.malloc<std::uint64_t>(512);  // past the upload
   for (std::uint64_t i = 0; i < 512; ++i) ASSERT_EQ(mem.read<std::uint64_t>(after.element_addr(i)), 0u);
 
-  // Over the junk's old bytes after a reset, then far past the backing
-  // store's capacity, so it regrows: every element reads zero.
+  // Over the junk's old bytes after a reset, then far past every page
+  // touched so far: every element reads zero.
   mem.free_all();
   mem.upload(std::span<const std::uint64_t>(junk).subspan(0, 7));
   auto over = mem.malloc<std::uint64_t>(4096);
@@ -188,6 +189,62 @@ TEST(Memory, ConstAndGlobalSpacesDisjoint) {
   mem.write(c.element_addr(0), std::uint64_t{222});
   EXPECT_EQ(mem.read<std::uint64_t>(g.element_addr(0)), 111u);
   EXPECT_EQ(mem.read<std::uint64_t>(c.element_addr(0)), 222u);
+}
+
+static_assert(!std::is_copy_constructible_v<Memory>);
+static_assert(!std::is_copy_assignable_v<Memory>);
+
+TEST(Memory, LargeReservationsConstructAndDestroyRepeatedly) {
+  // Each Memory reserves its whole 12 GiB segment up front; only touched
+  // pages are committed, so 64 in a row neither fail nor pile up.
+  for (int i = 0; i < 64; ++i) {
+    Memory mem(12ULL << 30, 64 << 10);
+    EXPECT_EQ(mem.global_capacity(), 12ULL << 30);
+    auto p = mem.malloc<std::uint64_t>(512);
+    mem.write(p.element_addr(511), std::uint64_t(i));
+    ASSERT_EQ(mem.read<std::uint64_t>(p.element_addr(511)), std::uint64_t(i));
+    ASSERT_EQ(mem.read<std::uint64_t>(p.element_addr(0)), 0u);
+  }
+}
+
+TEST(Memory, AllocatesExactlyUpToCapacity) {
+  constexpr std::uint64_t kCapacity = 64 << 10;
+  Memory mem(kCapacity, 64 << 10);
+  auto p = mem.malloc<std::uint8_t>(kCapacity - mem.global_used());
+  EXPECT_EQ(mem.global_used(), kCapacity);
+  EXPECT_EQ(mem.read<std::uint8_t>(kCapacity - 1), 0);
+  mem.write(kCapacity - 1, std::uint8_t{0x5A});
+  EXPECT_EQ(mem.read<std::uint8_t>(kCapacity - 1), 0x5A);
+  EXPECT_THROW(mem.malloc<std::uint8_t>(1), ContractViolation);
+  std::uint8_t byte = 0;
+  EXPECT_THROW(mem.read_bytes(kCapacity, &byte, 1), ContractViolation);
+  EXPECT_EQ(mem.global_used(), kCapacity);  // the failed malloc changed nothing
+  EXPECT_FALSE(p.is_null());
+}
+
+TEST(Memory, LargerImageAfterFreeAllReadsBackExactly) {
+  Memory mem(8 << 20, 64 << 10);
+  std::vector<std::uint64_t> small(3000);
+  for (std::size_t i = 0; i < small.size(); ++i) small[i] = ~i;
+  mem.upload(std::span<const std::uint64_t>(small));
+  mem.free_all();
+  // A larger image over the old one and past it, then a malloc beyond.
+  std::vector<std::uint64_t> large(100000);
+  for (std::size_t i = 0; i < large.size(); ++i) large[i] = i * 0x9E3779B97F4A7C15ULL + 1;
+  auto img = mem.upload(std::span<const std::uint64_t>(large));
+  std::vector<std::uint64_t> out(large.size());
+  mem.copy_to_host(std::span<std::uint64_t>(out), img);
+  EXPECT_EQ(out, large);
+  auto after = mem.malloc<std::uint64_t>(4096);
+  out.assign(4096, 1);
+  mem.copy_to_host(std::span<std::uint64_t>(out), after);
+  EXPECT_EQ(out, std::vector<std::uint64_t>(4096, 0));
+  // And after one more reset, a malloc over both images reads zero.
+  mem.free_all();
+  auto over = mem.malloc<std::uint64_t>(large.size() + 4096);
+  out.assign(large.size() + 4096, 1);
+  mem.copy_to_host(std::span<std::uint64_t>(out), over);
+  EXPECT_EQ(out, std::vector<std::uint64_t>(large.size() + 4096, 0));
 }
 
 }  // namespace

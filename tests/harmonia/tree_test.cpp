@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "btree/btree.hpp"
 #include "common/expect.hpp"
 #include "common/rng.hpp"
@@ -131,6 +134,81 @@ TEST(HarmoniaTree, RangeWithLimit) {
   const auto tree = small_tree(1000, 16);
   const auto out = tree.range(0, ~std::uint64_t{0} - 1, 17);
   EXPECT_EQ(out.size(), 17u);
+}
+
+// --- HarmoniaTree::bulk_load against the Fig. 4 serialization of the
+// pointer B+tree it replaces: equal byte for byte. ---
+
+void expect_bulk_load_matches_btree(unsigned fanout) {
+  const std::uint64_t kpn = fanout - 1;
+  for (const double fill : {0.3, 0.5, 0.69, 0.9, 1.0}) {
+    for (const std::uint64_t n :
+         {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3}, std::uint64_t{7}, kpn, kpn + 1,
+          std::uint64_t{100}, std::uint64_t{1000}, std::uint64_t{4097}, std::uint64_t{100000},
+          std::uint64_t{262145}}) {
+      SCOPED_TRACE(::testing::Message() << "fanout " << fanout << " fill " << fill << " n " << n);
+      const auto keys = queries::make_tree_keys(n, n + fanout);
+      std::vector<btree::Entry> entries;
+      entries.reserve(keys.size());
+      for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
+      btree::BTree bt(fanout);
+      bt.bulk_load(entries, fill);
+      const auto want = HarmoniaTree::from_btree(bt);
+      const auto got = HarmoniaTree::bulk_load(entries, fanout, fill);
+
+      ASSERT_EQ(got.fanout(), want.fanout());
+      ASSERT_EQ(got.num_nodes(), want.num_nodes());
+      ASSERT_EQ(got.first_leaf_index(), want.first_leaf_index());
+      ASSERT_EQ(got.num_keys(), want.num_keys());
+      ASSERT_EQ(got.height(), want.height());
+      for (unsigned l = 0; l < got.height(); ++l) {
+        ASSERT_EQ(got.level_start(l), want.level_start(l)) << "level " << l;
+      }
+      const auto same = [](auto a, auto b) {
+        return std::equal(a.begin(), a.end(), b.begin(), b.end());
+      };
+      ASSERT_TRUE(same(got.key_region(), want.key_region()));
+      ASSERT_TRUE(same(got.prefix_sum(), want.prefix_sum()));
+      ASSERT_TRUE(same(got.value_region(), want.value_region()));
+    }
+  }
+}
+
+TEST(HarmoniaTreeBulkLoad, MatchesFromBTreeFanout4) { expect_bulk_load_matches_btree(4); }
+TEST(HarmoniaTreeBulkLoad, MatchesFromBTreeFanout5) { expect_bulk_load_matches_btree(5); }
+TEST(HarmoniaTreeBulkLoad, MatchesFromBTreeFanout8) { expect_bulk_load_matches_btree(8); }
+TEST(HarmoniaTreeBulkLoad, MatchesFromBTreeFanout16) { expect_bulk_load_matches_btree(16); }
+TEST(HarmoniaTreeBulkLoad, MatchesFromBTreeFanout33) { expect_bulk_load_matches_btree(33); }
+TEST(HarmoniaTreeBulkLoad, MatchesFromBTreeFanout64) { expect_bulk_load_matches_btree(64); }
+TEST(HarmoniaTreeBulkLoad, MatchesFromBTreeFanout128) { expect_bulk_load_matches_btree(128); }
+
+TEST(HarmoniaTreeBulkLoad, RejectsUnsortedDuplicateOrEmptyInput) {
+  const std::vector<btree::Entry> unsorted{{1, 1}, {5, 5}, {3, 3}, {7, 7}};
+  EXPECT_THROW(HarmoniaTree::bulk_load(unsorted, 4), ContractViolation);
+  const std::vector<btree::Entry> duplicate{{1, 1}, {2, 2}, {2, 3}, {4, 4}};
+  EXPECT_THROW(HarmoniaTree::bulk_load(duplicate, 4), ContractViolation);
+  // Out of order across a leaf boundary (fanout 4 at fill 1.0 packs three
+  // keys a leaf): leaf 0 ends at 30, leaf 1 starts at 20.
+  const std::vector<btree::Entry> across{{10, 1}, {20, 2}, {30, 3}, {20, 4}, {40, 5}, {50, 6}};
+  EXPECT_THROW(HarmoniaTree::bulk_load(across, 4, 1.0), ContractViolation);
+  EXPECT_THROW(HarmoniaTree::bulk_load({}, 8), ContractViolation);
+  const std::vector<btree::Entry> one{{1, 1}};
+  EXPECT_THROW(HarmoniaTree::bulk_load(one, 3), ContractViolation);
+  EXPECT_THROW(HarmoniaTree::bulk_load(one, 8, 0.0), ContractViolation);
+  EXPECT_THROW(HarmoniaTree::bulk_load(one, 8, 1.5), ContractViolation);
+}
+
+TEST(HarmoniaTreeBulkLoad, ServesLookupsAndScans) {
+  const auto keys = queries::make_tree_keys(5000, 9);
+  std::vector<btree::Entry> entries;
+  for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
+  const auto tree = HarmoniaTree::bulk_load(entries, 16);
+  tree.validate();
+  for (Key k : keys) ASSERT_EQ(tree.search(k), std::optional<Value>(btree::value_for_key(k)));
+  EXPECT_FALSE(tree.search(keys[10] + 1).has_value());
+  const auto scan = tree.range(keys[100], keys[199]);
+  ASSERT_EQ(scan.size(), 100u);
+  EXPECT_EQ(scan.front().key, keys[100]);
 }
 
 TEST(HarmoniaTree, FromLeavesRoundTrip) {

@@ -80,5 +80,70 @@ TEST(HBTreeIndex, DeleteBatch) {
   for (Value v : result.values) EXPECT_EQ(v, kNotFound);
 }
 
+TEST(HBTreeIndex, KeySortedApplyMatchesArrivalOrder) {
+  // The batch is applied stably sorted by key. Ops on one key must still
+  // run in arrival order: insert -> update -> delete -> update (fails) on
+  // a fresh key, delete -> insert on an old one, and an update of a key
+  // that is never present. Contents and counts equal an arrival-order
+  // apply on a plain B+tree.
+  gpusim::Device dev(test_spec());
+  const auto keys = queries::make_tree_keys(2000, 6);
+  const auto entries = entries_for(keys);
+  auto index = HBTreeIndex::build(dev, entries, 8);
+
+  queries::BatchSpec spec;
+  spec.size = 3000;
+  spec.insert_fraction = 0.3;
+  spec.delete_fraction = 0.2;
+  spec.seed = 7;
+  auto ops = queries::make_update_batch(keys, spec);
+  const Key fresh = keys[100] + 1;  // strides apart from keys[101]
+  using queries::OpKind;
+  ops.insert(ops.begin() + 10, {OpKind::kInsert, fresh, 1});
+  ops.insert(ops.begin() + 500, {OpKind::kUpdate, fresh, 2});
+  ops.insert(ops.begin() + 900, {OpKind::kDelete, fresh, 0});
+  ops.insert(ops.begin() + 1200, {OpKind::kUpdate, fresh, 3});
+  ops.insert(ops.begin() + 20, {OpKind::kDelete, keys[5], 0});
+  ops.insert(ops.begin() + 1500, {OpKind::kInsert, keys[5], 4});
+  ops.insert(ops.begin() + 40, {OpKind::kUpdate, fresh + 2, 5});
+
+  btree::BTree arrival(8);
+  arrival.bulk_load(entries);
+  HBUpdateStats expect;
+  for (const auto& op : ops) {
+    switch (op.kind) {
+      case OpKind::kUpdate:
+        ++expect.updates;
+        if (!arrival.update(op.key, op.value)) ++expect.failed;
+        break;
+      case OpKind::kInsert:
+        ++expect.inserts;
+        arrival.insert(op.key, op.value);
+        break;
+      case OpKind::kDelete:
+        ++expect.deletes;
+        if (!arrival.erase(op.key)) ++expect.failed;
+        break;
+    }
+  }
+
+  const auto stats = index.update_batch(ops);
+  index.tree().validate();
+  EXPECT_EQ(stats.updates, expect.updates);
+  EXPECT_EQ(stats.inserts, expect.inserts);
+  EXPECT_EQ(stats.deletes, expect.deletes);
+  EXPECT_EQ(stats.failed, expect.failed);
+  EXPECT_GE(stats.failed, 2u);  // the late update of `fresh`, the absent key
+  const auto got = index.tree().range(0, ~Key{0});
+  const auto want = arrival.range(0, ~Key{0});
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].key, want[i].key);
+    ASSERT_EQ(got[i].value, want[i].value);
+  }
+  EXPECT_EQ(index.tree().search(keys[5]), std::optional<Value>(4));
+  EXPECT_FALSE(index.tree().search(fresh).has_value());
+}
+
 }  // namespace
 }  // namespace harmonia::hbtree

@@ -64,9 +64,7 @@ int cmd_build(int argc, const char* const* argv) {
   entries.reserve(keys.size());
   for (Key k : keys) entries.push_back({k, btree::value_for_key(k)});
 
-  btree::BTree builder(fanout);
-  builder.bulk_load(entries, cli.get_double("fill", 0.69));
-  const auto tree = HarmoniaTree::from_btree(builder);
+  const auto tree = HarmoniaTree::bulk_load(entries, fanout, cli.get_double("fill", 0.69));
   const auto out = cli.get_string("out", "harmonia_index.bin");
   save_index(tree, out);
   std::printf("built %llu keys (fanout %u, height %u, %u nodes) -> %s\n",
